@@ -40,7 +40,7 @@ func main() { os.Exit(realMain()) }
 // run on every path; a bare os.Exit would silently truncate the profiles.
 func realMain() int {
 	var (
-		exp        = flag.String("exp", "", "experiment to run: fig2|mem|fig3|fig6|fig7|fig8|fig9|fig10|macro|... (empty with -all runs everything)")
+		exp        = flag.String("exp", "", "comma-separated experiments to run: "+strings.Join(catalogIDs(false), "|"))
 		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.Float64("scale", 1.0, "duration scale (1.0 = paper-sized, one hour macro runs)")
 		seed       = flag.Int64("seed", 1, "random seed")
@@ -96,14 +96,19 @@ func realMain() int {
 	}
 
 	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallel: *parallel, Observe: *report != ""}
-	ids := []string{
-		"fig2", "mem", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"ablation", "monitorperiod", "placement", "churn", "stateful",
-		"fig3sweep", "targetutil", "hetero", "predictive", "lbpolicy",
-		"chaos", "recovery", "cascade", "manager", "dr",
-	}
+	ids := catalogIDs(true)
 	if !*all {
 		ids = strings.Split(*exp, ",")
+	}
+	selected := make([]experiment, len(ids))
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		e, err := lookup(ids[i])
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hyscale-bench: %v\n", err)
+			return 1
+		}
+		selected[i] = e
 	}
 
 	// All stdout goes through one buffered writer, and each experiment's
@@ -115,13 +120,12 @@ func realMain() int {
 
 	var tables []*experiments.Table
 	start := time.Now()
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
+	for _, e := range selected {
 		expStart := time.Now()
-		ts, err := run(id, opts)
+		ts, err := e.run(opts)
 		if err != nil {
 			out.Flush()
-			fmt.Fprintf(os.Stderr, "hyscale-bench: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "hyscale-bench: %s: %v\n", e.id, err)
 			return 1
 		}
 		var block strings.Builder
@@ -139,7 +143,7 @@ func realMain() int {
 				runTotal += rt.Elapsed
 			}
 			fmt.Fprintf(&block, "%s: %d runs, %v run-time in %v wall\n\n",
-				id, len(runTimings), runTotal.Round(time.Millisecond),
+				e.id, len(runTimings), runTotal.Round(time.Millisecond),
 				time.Since(expStart).Round(time.Millisecond))
 		}
 		out.WriteString(block.String())
@@ -224,142 +228,103 @@ func reproduceCommand(all bool, ids []string, scale float64, seed int64, dir str
 	return fmt.Sprintf("hyscale-bench %s -scale %g -seed %d -report %s", sel, scale, seed, dir)
 }
 
-// run executes one experiment ID and returns its rendered tables.
-func run(id string, opts experiments.Options) ([]*experiments.Table, error) {
-	switch id {
-	case "fig2":
-		r, err := experiments.RunFig2(opts)
+// experiment is one -exp id and the runner that renders its tables.
+type experiment struct {
+	id  string
+	run func(experiments.Options) ([]*experiments.Table, error)
+	// expOnly keeps the id out of -all: "macro" repeats fig6 as the CI
+	// smoke target, and "scale" is the datacenter sweep behind -perf.
+	expOnly bool
+}
+
+// catalog lists every experiment; -all runs the ones not marked expOnly in
+// this order, which is also the section order of EXPERIMENTS.md.
+var catalog = []experiment{
+	{id: "fig2", run: table(experiments.RunFig2)},
+	{id: "mem", run: table(experiments.RunMemScaling)},
+	{id: "fig3", run: table(experiments.RunFig3)},
+	{id: "fig6", run: shapes(experiments.RunFig6)},
+	{id: "fig7", run: shapes(experiments.RunFig7)},
+	{id: "fig8", run: shapes(experiments.RunFig8)},
+	{id: "fig9", run: table(func(o experiments.Options) (*experiments.Fig9Result, error) {
+		return experiments.RunFig9(nil, o)
+	})},
+	{id: "fig10", run: table(func(o experiments.Options) (*experiments.MacroResult, error) {
+		return experiments.RunFig10(nil, o)
+	})},
+	{id: "ablation", run: costTable(experiments.RunAblation)},
+	{id: "monitorperiod", run: costTable(experiments.RunMonitorPeriodSensitivity)},
+	{id: "placement", run: costTable(experiments.RunPlacement)},
+	{id: "churn", run: costTable(experiments.RunNodeChurn)},
+	{id: "stateful", run: costTable(experiments.RunStateful)},
+	{id: "fig3sweep", run: table(experiments.RunFig3Sweep)},
+	{id: "targetutil", run: table(experiments.RunTargetUtilSweep)},
+	{id: "hetero", run: costTable(experiments.RunHeterogeneous)},
+	{id: "predictive", run: costTable(experiments.RunPredictive)},
+	{id: "lbpolicy", run: costTable(experiments.RunLBPolicy)},
+	{id: "chaos", run: table(experiments.RunChaos)},
+	{id: "recovery", run: table(experiments.RunRecovery)},
+	{id: "cascade", run: table(experiments.RunCascade)},
+	{id: "manager", run: table(experiments.RunManager)},
+	{id: "dr", run: table(experiments.RunDR)},
+	{id: "macro", run: shapes(experiments.RunFig6), expOnly: true},
+	{id: "scale", run: table(experiments.RunScale), expOnly: true},
+}
+
+// lookup returns the catalog entry for id.
+func lookup(id string) (experiment, error) {
+	for _, e := range catalog {
+		if e.id == id {
+			return e, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("unknown experiment %q", id)
+}
+
+// catalogIDs lists the catalog's ids in order, optionally only the -all set.
+func catalogIDs(allOnly bool) []string {
+	var ids []string
+	for _, e := range catalog {
+		if !allOnly || !e.expOnly {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
+}
+
+// table adapts an experiment whose result renders one table.
+func table[R interface{ Table() *experiments.Table }](run func(experiments.Options) (R, error)) func(experiments.Options) ([]*experiments.Table, error) {
+	return func(opts experiments.Options) ([]*experiments.Table, error) {
+		r, err := run(opts)
 		if err != nil {
 			return nil, err
 		}
 		return []*experiments.Table{r.Table()}, nil
-	case "mem":
-		r, err := experiments.RunMemScaling(opts)
+	}
+}
+
+// costTable adapts a macro experiment reported with its cost columns.
+func costTable(run func(experiments.Options) (*experiments.MacroResult, error)) func(experiments.Options) ([]*experiments.Table, error) {
+	return func(opts experiments.Options) ([]*experiments.Table, error) {
+		r, err := run(opts)
 		if err != nil {
 			return nil, err
 		}
-		return []*experiments.Table{r.Table()}, nil
-	case "fig3":
-		r, err := experiments.RunFig3(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "fig6", "fig7", "fig8", "macro":
-		// "macro" is the canonical four-algorithm macrobenchmark (Fig. 6 under
-		// both load shapes) — the CI smoke target.
+		return []*experiments.Table{experiments.CostTableFor(r)}, nil
+	}
+}
+
+// shapes adapts a macro experiment run under both §VI load shapes.
+func shapes(run func(experiments.LoadShape, experiments.Options) (*experiments.MacroResult, error)) func(experiments.Options) ([]*experiments.Table, error) {
+	return func(opts experiments.Options) ([]*experiments.Table, error) {
 		var tables []*experiments.Table
 		for _, shape := range []experiments.LoadShape{experiments.LowBurst, experiments.HighBurst} {
-			var (
-				r   *experiments.MacroResult
-				err error
-			)
-			switch id {
-			case "fig7":
-				r, err = experiments.RunFig7(shape, opts)
-			case "fig8":
-				r, err = experiments.RunFig8(shape, opts)
-			default:
-				r, err = experiments.RunFig6(shape, opts)
-			}
+			r, err := run(shape, opts)
 			if err != nil {
 				return nil, err
 			}
 			tables = append(tables, r.Table())
 		}
 		return tables, nil
-	case "fig9":
-		r, err := experiments.RunFig9(nil, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "fig10":
-		r, err := experiments.RunFig10(nil, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "chaos":
-		r, err := experiments.RunChaos(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "recovery":
-		r, err := experiments.RunRecovery(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "dr":
-		r, err := experiments.RunDR(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "cascade":
-		r, err := experiments.RunCascade(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "manager":
-		r, err := experiments.RunManager(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "scale":
-		r, err := experiments.RunScale(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "fig3sweep":
-		r, err := experiments.RunFig3Sweep(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "targetutil":
-		r, err := experiments.RunTargetUtilSweep(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "hetero":
-		r, err := experiments.RunHeterogeneous(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{experiments.CostTableFor(r)}, nil
-	case "ablation", "monitorperiod", "placement", "churn", "stateful", "predictive", "lbpolicy":
-		var (
-			r   *experiments.MacroResult
-			err error
-		)
-		switch id {
-		case "ablation":
-			r, err = experiments.RunAblation(opts)
-		case "monitorperiod":
-			r, err = experiments.RunMonitorPeriodSensitivity(opts)
-		case "placement":
-			r, err = experiments.RunPlacement(opts)
-		case "stateful":
-			r, err = experiments.RunStateful(opts)
-		case "predictive":
-			r, err = experiments.RunPredictive(opts)
-		case "lbpolicy":
-			r, err = experiments.RunLBPolicy(opts)
-		default:
-			r, err = experiments.RunNodeChurn(opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{experiments.CostTableFor(r)}, nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", id)
 	}
 }

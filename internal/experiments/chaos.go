@@ -9,7 +9,6 @@ import (
 	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 	"hyscale/internal/runner"
-	"hyscale/internal/sim"
 	"hyscale/internal/workload"
 )
 
@@ -51,101 +50,15 @@ type ChaosOutcome struct {
 	UptimePercent float64
 }
 
-// ChaosResult is the material behind the resilience comparison.
-type ChaosResult struct {
-	Name     string
-	Outcomes []ChaosOutcome
-}
+// ChaosResult is the material behind the resilience comparison, keyed by
+// chaosName.
+type ChaosResult = GridResult[ChaosOutcome]
 
-// Outcome returns the cell for (algorithm, rate, hardened), or nil.
-func (r *ChaosResult) Outcome(algorithm string, rate float64, hardened bool) *ChaosOutcome {
-	for i := range r.Outcomes {
-		o := &r.Outcomes[i]
-		if o.Algorithm == algorithm && o.FaultRate == rate && o.Hardened == hardened {
-			return o
-		}
-	}
-	return nil
-}
-
-// Table renders the per-algorithm resilience comparison.
-func (r *ChaosResult) Table() *Table {
-	t := &Table{
-		Title: r.Name,
-		Columns: []string{"fault rate", "algorithm", "hardened", "failed %", "uptime %",
-			"mean response", "retries", "abandoned", "stale snaps"},
-	}
-	for _, o := range r.Outcomes {
-		hardened := "yes"
-		if !o.Hardened {
-			hardened = "no"
-		}
-		t.AddRow(
-			fmt.Sprintf("%.1f", o.FaultRate),
-			o.Algorithm,
-			hardened,
-			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
-			fmt.Sprintf("%.2f", o.UptimePercent),
-			fmtDur(o.Summary.MeanLatency),
-			fmt.Sprintf("%d", o.Actions.Retries),
-			fmt.Sprintf("%d", o.Actions.AbandonedActions),
-			fmt.Sprintf("%d", o.Actions.StaleSnapshots),
-		)
-	}
-	return t
-}
-
-// uptimeProbe counts service-seconds of availability.
-type uptimeProbe struct {
-	total uint64
-	up    uint64
-}
-
-// percent returns availability as a percentage (100 when never sampled).
-func (u *uptimeProbe) percent() float64 {
-	if u.total == 0 {
-		return 100
-	}
-	return 100 * float64(u.up) / float64(u.total)
-}
-
-// attach samples every service in the spec once per simulated second: a
-// service is up when at least one replica is routable and not inside an
-// injected backend outage.
-func (u *uptimeProbe) attach(w *platform.World, spec runner.RunSpec) error {
-	inj := w.FaultInjector()
-	return w.Engine().SchedulePeriodic(time.Second, time.Second, func(e *sim.Engine) {
-		now := e.Now()
-		for _, s := range spec.Services {
-			u.total++
-			for _, c := range w.Monitor().Replicas(s.Spec.Name) {
-				if c.Routable() && !inj.BackendDown(now, c.Service, c.ID) {
-					u.up++
-					break
-				}
-			}
-		}
-	})
-}
-
-// HookChaosUptime is the registered runner hook attaching the uptime probe;
-// its finalizer reports availability as Extra["uptimePercent"].
+// HookChaosUptime is the registered runner hook attaching the availability
+// sampler alone; its finalizer reports Extra["availabilityPercent"].
 const HookChaosUptime = "chaos-uptime"
 
-func init() {
-	runner.RegisterHook(HookChaosUptime, func(w *platform.World, spec runner.RunSpec) (runner.Finalizer, error) {
-		probe := &uptimeProbe{}
-		if err := probe.attach(w, spec); err != nil {
-			return nil, err
-		}
-		return func(res *runner.Result) {
-			if res.Extra == nil {
-				res.Extra = make(map[string]float64)
-			}
-			res.Extra["uptimePercent"] = probe.percent()
-		}, nil
-	})
-}
+func init() { registerAvailabilityHook(HookChaosUptime, nil) }
 
 // chaosCell parameterises one chaos run.
 type chaosCell struct {
@@ -154,58 +67,71 @@ type chaosCell struct {
 	hardened  bool
 }
 
+// chaosName is the spec name (and result key) of one chaos cell.
+func chaosName(algorithm string, rate float64, hardened bool) string {
+	h := "hardened"
+	if !hardened {
+		h = "unhardened"
+	}
+	return fmt.Sprintf("chaos/%s-r%.1f-%s", algorithm, rate, h)
+}
+
 // compile turns a cell into a RunSpec: the Fig. 6b workload plus a scaled
 // fault mix, optional hardening kill-switch, and the uptime probe hook.
 func (c chaosCell) compile(services []serviceLoad, base faults.Config, opts Options) runner.RunSpec {
 	cfg := platform.DefaultConfig(opts.Seed)
 	cfg.Faults = base.Scaled(c.rate)
 	cfg.HardeningOff = !c.hardened
-	hardened := "hardened"
-	if !c.hardened {
-		hardened = "unhardened"
-	}
 	spec := runner.RunSpec{
-		Name:      fmt.Sprintf("chaos/%s-r%.1f-%s", c.algorithm, c.rate, hardened),
+		Name:      chaosName(c.algorithm, c.rate, c.hardened),
 		Seed:      opts.Seed,
 		Platform:  cfg,
 		Algorithm: c.algorithm,
 		Duration:  macroDuration(opts),
 		Hooks:     []string{HookChaosUptime},
 	}
-	for _, s := range services {
-		spec.Services = append(spec.Services, runner.ServiceRun{
-			Spec: s.spec, Target: s.target, Load: runner.FromPattern(s.pattern),
-		})
-	}
+	spec.Services = serviceRuns(services)
 	return spec
 }
 
-// runChaosCells compiles every cell up front, fans them through the
-// executor, and collects outcomes in cell order.
-func runChaosCells(name string, services []serviceLoad, cells []chaosCell, opts Options) (*ChaosResult, error) {
-	res := &ChaosResult{Name: name}
+// chaosGrid runs chaos cells over the given service set: one row per cell
+// with failed-request %, uptime and the hardening counters.
+func chaosGrid(services []serviceLoad, opts Options) grid[chaosCell, ChaosOutcome] {
 	base := ChaosFaults(opts.Seed + 1000)
-	specs := make([]runner.RunSpec, len(cells))
-	for i, cell := range cells {
-		specs[i] = cell.compile(services, base, opts)
+	return grid[chaosCell, ChaosOutcome]{
+		title: "Chaos: CPU-bound high-burst under control-plane faults",
+		columns: []string{"fault rate", "algorithm", "hardened", "failed %", "uptime %",
+			"mean response", "retries", "abandoned", "stale snaps"},
+		compile: func(c chaosCell) runner.RunSpec { return c.compile(services, base, opts) },
+		fold: func(c chaosCell, r runner.Result) ChaosOutcome {
+			return ChaosOutcome{
+				Algorithm:     c.algorithm,
+				FaultRate:     c.rate,
+				Hardened:      c.hardened,
+				Summary:       r.Summary,
+				Actions:       r.Actions,
+				ConnFail:      r.ConnFail,
+				UptimePercent: r.Extra["availabilityPercent"],
+			}
+		},
+		row: func(o *ChaosOutcome) []string {
+			hardened := "yes"
+			if !o.Hardened {
+				hardened = "no"
+			}
+			return []string{
+				fmt.Sprintf("%.1f", o.FaultRate),
+				o.Algorithm,
+				hardened,
+				fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
+				fmt.Sprintf("%.2f", o.UptimePercent),
+				fmtDur(o.Summary.MeanLatency),
+				fmt.Sprintf("%d", o.Actions.Retries),
+				fmt.Sprintf("%d", o.Actions.AbandonedActions),
+				fmt.Sprintf("%d", o.Actions.StaleSnapshots),
+			}
+		},
 	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, cell := range cells {
-		r := results[i]
-		res.Outcomes = append(res.Outcomes, ChaosOutcome{
-			Algorithm:     cell.algorithm,
-			FaultRate:     cell.rate,
-			Hardened:      cell.hardened,
-			Summary:       r.Summary,
-			Actions:       r.Actions,
-			ConnFail:      r.ConnFail,
-			UptimePercent: r.Extra["uptimePercent"],
-		})
-	}
-	return res, nil
 }
 
 // RunChaos replays Fig. 6b's high-burst CPU-bound workload under a fault
@@ -225,8 +151,5 @@ func RunChaos(opts Options) (*ChaosResult, error) {
 	for _, a := range algorithms {
 		cells = append(cells, chaosCell{algorithm: a, rate: 1.0, hardened: false})
 	}
-	return runChaosCells(
-		"Chaos: CPU-bound high-burst under control-plane faults",
-		services, cells, opts,
-	)
+	return chaosGrid(services, opts).run(cells, opts)
 }

@@ -17,15 +17,15 @@ func chaosServices(opts Options) []serviceLoad {
 // schedule with hardening off.
 func TestChaosHardeningReducesFailures(t *testing.T) {
 	opts := shapeOpts()
-	res, err := runChaosCells("hardening-vs-not", chaosServices(opts), []chaosCell{
+	res, err := chaosGrid(chaosServices(opts), opts).run([]chaosCell{
 		{algorithm: "hybridmem", rate: 1.0, hardened: true},
 		{algorithm: "hybridmem", rate: 1.0, hardened: false},
 	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := res.Outcome("hybridmem", 1.0, true)
-	off := res.Outcome("hybridmem", 1.0, false)
+	on := res.Outcome(chaosName("hybridmem", 1.0, true))
+	off := res.Outcome(chaosName("hybridmem", 1.0, false))
 	if on == nil || off == nil {
 		t.Fatal("missing outcomes")
 	}
@@ -51,7 +51,7 @@ func TestChaosHardeningReducesFailures(t *testing.T) {
 // health checks and uptime probe must be invisible.
 func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 	opts := shapeOpts()
-	res, err := runChaosCells("zero-rate", chaosServices(opts), []chaosCell{
+	res, err := chaosGrid(chaosServices(opts), opts).run([]chaosCell{
 		{algorithm: "hybridmem", rate: 0, hardened: true},
 	}, opts)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Outcome("hybridmem", 0, true)
+	got := res.Outcome(chaosName("hybridmem", 0, true))
 	want := base.Outcome("hybridmem")
 	if got.Summary != want.Summary {
 		t.Errorf("zero-rate summary diverged from baseline:\n got %+v\nwant %+v",
@@ -81,7 +81,7 @@ func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 func TestChaosDeterminism(t *testing.T) {
 	opts := Options{Seed: 5, Scale: 0.05}
 	run := func() string {
-		res, err := runChaosCells("det", chaosServices(opts), []chaosCell{
+		res, err := chaosGrid(chaosServices(opts), opts).run([]chaosCell{
 			{algorithm: "kubernetes", rate: 1.0, hardened: true},
 			{algorithm: "hybridmem", rate: 0.5, hardened: true},
 			{algorithm: "hybridmem", rate: 1.0, hardened: false},
@@ -111,7 +111,7 @@ func TestRunChaosShape(t *testing.T) {
 	if len(tab.Rows) != 12 || len(tab.Columns) != 9 {
 		t.Errorf("table shape = %dx%d, want 12x9", len(tab.Rows), len(tab.Columns))
 	}
-	if res.Outcome("hybrid", 0.5, true) == nil || res.Outcome("kubernetes", 1.0, false) == nil {
+	if res.Outcome(chaosName("hybrid", 0.5, true)) == nil || res.Outcome(chaosName("kubernetes", 1.0, false)) == nil {
 		t.Error("expected cells missing")
 	}
 }

@@ -33,7 +33,7 @@ func TestDRGridShape(t *testing.T) {
 	}
 	for _, scenario := range []string{"outage", "partition", "rolling"} {
 		for _, variant := range []string{"no-evac", "evac", "spill"} {
-			o := res.Outcome(scenario, variant, "hybridmem")
+			o := res.Outcome(drName(scenario, variant, "hybridmem"))
 			if o == nil {
 				t.Fatalf("missing outcome %s/%s", scenario, variant)
 			}
@@ -50,8 +50,8 @@ func TestDRGridShape(t *testing.T) {
 	}
 	// The no-evac cell pays for the outage in availability; evacuation must
 	// not make it worse.
-	base := res.Outcome("outage", "no-evac", "hybridmem")
-	evac := res.Outcome("outage", "evac", "hybridmem")
+	base := res.Outcome(drName("outage", "no-evac", "hybridmem"))
+	evac := res.Outcome(drName("outage", "evac", "hybridmem"))
 	if evac.AvailabilityPercent < base.AvailabilityPercent {
 		t.Errorf("outage availability: evac %.2f%% < no-evac %.2f%%",
 			evac.AvailabilityPercent, base.AvailabilityPercent)

@@ -104,6 +104,15 @@ type serviceLoad struct {
 	pattern loadgen.Pattern
 }
 
+// serviceRuns lowers a service set to the RunSpec form.
+func serviceRuns(services []serviceLoad) []runner.ServiceRun {
+	out := make([]runner.ServiceRun, len(services))
+	for i, s := range services {
+		out[i] = runner.ServiceRun{Spec: s.spec, Target: s.target, Load: runner.FromPattern(s.pattern)}
+	}
+	return out
+}
+
 // newAlgorithm instantiates a scaling algorithm by report name. Ablation
 // variants are spelled "<base>-noreclaim", "<base>-vertical-only" and
 // "<base>-horizontal-only". The mapping itself lives in runner.NewAlgorithm;
@@ -176,11 +185,7 @@ func (r macroRow) compile(name string, services []serviceLoad, opts Options) run
 		NodeRecoveries: r.nodeRecoveries,
 		Hooks:          r.hooks,
 	}
-	for _, s := range services {
-		spec.Services = append(spec.Services, runner.ServiceRun{
-			Spec: s.spec, Target: s.target, Load: runner.FromPattern(s.pattern),
-		})
-	}
+	spec.Services = serviceRuns(services)
 	return spec
 }
 

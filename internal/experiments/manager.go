@@ -35,46 +35,16 @@ type ManagerOutcome struct {
 	UptimePercent float64
 }
 
-// ManagerResult is the material behind the manager pricing comparison.
-type ManagerResult struct {
-	Name     string
-	Outcomes []ManagerOutcome
-}
+// ManagerResult is the material behind the manager pricing comparison,
+// keyed by each cell's spec name ("manager/<source spec name>").
+type ManagerResult = GridResult[ManagerOutcome]
 
-// Outcome returns the cell for (workload, algorithm), or nil.
-func (r *ManagerResult) Outcome(workload, algorithm string) *ManagerOutcome {
-	for i := range r.Outcomes {
-		o := &r.Outcomes[i]
-		if o.Workload == workload && o.Algorithm == algorithm {
-			return o
-		}
-	}
-	return nil
-}
-
-// Table renders the pricing grid: latency and failure stats next to SLO
-// attainment, machine-hours and total dollar cost per cell.
-func (r *ManagerResult) Table() *Table {
-	t := &Table{
-		Title: r.Name,
-		Columns: []string{"workload", "algorithm", "mean response", "p95", "failed %",
-			"SLO attain %", "machine-hours", "cost $", "scale-outs", "scale-ins"},
-	}
-	for _, o := range r.Outcomes {
-		t.AddRow(
-			o.Workload,
-			o.Algorithm,
-			fmtDur(o.Summary.MeanLatency),
-			fmtDur(o.Summary.P95Latency),
-			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
-			fmt.Sprintf("%.2f", o.SLOAttainPercent),
-			fmt.Sprintf("%.1f", o.Cost.MachineHours),
-			fmt.Sprintf("%.2f", o.Cost.TotalCost),
-			fmt.Sprintf("%d", o.Actions.ScaleOuts),
-			fmt.Sprintf("%d", o.Actions.ScaleIns),
-		)
-	}
-	return t
+// managerCell is one pricing run: a spec compiled by the macro, cascade or
+// chaos grid, renamed under "manager/", and the workload column it reports
+// under.
+type managerCell struct {
+	workload string
+	spec     runner.RunSpec
 }
 
 // managerAlgorithms is the pricing line-up: the paper's four plus the two
@@ -89,11 +59,7 @@ func managerAlgorithms() []string {
 // the same seed so every algorithm faces an identical arrival sequence.
 func RunManager(opts Options) (*ManagerResult, error) {
 	opts = opts.scaled()
-	type cell struct {
-		workload string
-		spec     runner.RunSpec
-	}
-	var cells []cell
+	var cells []managerCell
 
 	// Macro grid: the Fig. 6/7 service mixes under both load shapes.
 	macro := []struct {
@@ -109,8 +75,7 @@ func RunManager(opts Options) (*ManagerResult, error) {
 		services := makeServices(m.kind, 15, m.shape, opts.Seed)
 		for _, algo := range managerAlgorithms() {
 			row := macroRow{algorithm: algo}
-			spec := row.compile("manager/"+m.name, services, opts)
-			cells = append(cells, cell{workload: m.name, spec: spec})
+			cells = append(cells, managerCell{m.name, row.compile("manager/"+m.name, services, opts)})
 		}
 	}
 
@@ -121,10 +86,9 @@ func RunManager(opts Options) (*ManagerResult, error) {
 	defs := cascadeDefenses(topo.shedThreshold)
 	def := defs[len(defs)-1]
 	for _, algo := range managerAlgorithms() {
-		cc := cascadeCell{topology: topo, algorithm: algo, defense: def}
-		spec := cc.compile(opts)
+		spec := cascadeCell{topology: topo, algorithm: algo, defense: def}.compile(opts)
 		spec.Name = "manager/" + spec.Name
-		cells = append(cells, cell{workload: "cascade-" + topo.name, spec: spec})
+		cells = append(cells, managerCell{"cascade-" + topo.name, spec})
 	}
 
 	// Chaos grid: full fault mix with hardening on — the manager must not
@@ -132,32 +96,40 @@ func RunManager(opts Options) (*ManagerResult, error) {
 	chaosServices := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
 	base := ChaosFaults(opts.Seed + 1000)
 	for _, algo := range managerAlgorithms() {
-		cc := chaosCell{algorithm: algo, rate: 1.0, hardened: true}
-		spec := cc.compile(chaosServices, base, opts)
+		spec := chaosCell{algorithm: algo, rate: 1.0, hardened: true}.compile(chaosServices, base, opts)
 		spec.Name = "manager/" + spec.Name
-		cells = append(cells, cell{workload: "chaos-r1.0", spec: spec})
+		cells = append(cells, managerCell{"chaos-r1.0", spec})
 	}
 
-	specs := make([]runner.RunSpec, len(cells))
-	for i, c := range cells {
-		specs[i] = c.spec
-	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &ManagerResult{Name: "Manager: multi-metric scaling priced against the paper's algorithms"}
-	for i, c := range cells {
-		r := results[i]
-		res.Outcomes = append(res.Outcomes, ManagerOutcome{
-			Workload:         c.workload,
-			Algorithm:        c.spec.Algorithm,
-			Summary:          r.Summary,
-			Actions:          r.Actions,
-			Cost:             r.Cost,
-			SLOAttainPercent: 100 - r.Cost.ViolationPercent(),
-			UptimePercent:    r.Extra["uptimePercent"],
-		})
-	}
-	return res, nil
+	return grid[managerCell, ManagerOutcome]{
+		title: "Manager: multi-metric scaling priced against the paper's algorithms",
+		columns: []string{"workload", "algorithm", "mean response", "p95", "failed %",
+			"SLO attain %", "machine-hours", "cost $", "scale-outs", "scale-ins"},
+		compile: func(c managerCell) runner.RunSpec { return c.spec },
+		fold: func(c managerCell, r runner.Result) ManagerOutcome {
+			return ManagerOutcome{
+				Workload:         c.workload,
+				Algorithm:        c.spec.Algorithm,
+				Summary:          r.Summary,
+				Actions:          r.Actions,
+				Cost:             r.Cost,
+				SLOAttainPercent: 100 - r.Cost.ViolationPercent(),
+				UptimePercent:    r.Extra["availabilityPercent"],
+			}
+		},
+		row: func(o *ManagerOutcome) []string {
+			return []string{
+				o.Workload,
+				o.Algorithm,
+				fmtDur(o.Summary.MeanLatency),
+				fmtDur(o.Summary.P95Latency),
+				fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
+				fmt.Sprintf("%.2f", o.SLOAttainPercent),
+				fmt.Sprintf("%.1f", o.Cost.MachineHours),
+				fmt.Sprintf("%.2f", o.Cost.TotalCost),
+				fmt.Sprintf("%d", o.Actions.ScaleOuts),
+				fmt.Sprintf("%d", o.Actions.ScaleIns),
+			}
+		},
+	}.run(cells, opts)
 }

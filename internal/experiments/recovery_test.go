@@ -25,7 +25,7 @@ func TestRecoveryReconvergesWithinBound(t *testing.T) {
 	}
 	for _, algo := range []string{"kubernetes", "hybrid", "hybridmem"} {
 		for _, variant := range []string{"heal", "crash-ckpt", "crash-cold"} {
-			o := res.Outcome(algo, variant)
+			o := res.Outcome(recoveryName(algo, variant))
 			if o == nil {
 				t.Fatalf("missing outcome %s/%s", algo, variant)
 			}
@@ -43,7 +43,7 @@ func TestRecoveryReconvergesWithinBound(t *testing.T) {
 
 		// Checkpointed restarts keep the reconcile plan; cold restarts lose
 		// it (the autoscaler alone recovers the count).
-		ckpt, cold := res.Outcome(algo, "crash-ckpt"), res.Outcome(algo, "crash-cold")
+		ckpt, cold := res.Outcome(recoveryName(algo, "crash-ckpt")), res.Outcome(recoveryName(algo, "crash-cold"))
 		if ckpt.Recovery.CheckpointRestores != 1 || ckpt.Recovery.ColdRestarts != 0 {
 			t.Errorf("%s/crash-ckpt: restarts = %+v", algo, ckpt.Recovery)
 		}
@@ -59,7 +59,7 @@ func TestRecoveryReconvergesWithinBound(t *testing.T) {
 		}
 
 		// The legacy variant must not touch any self-healing machinery.
-		none := res.Outcome(algo, "no-heal")
+		none := res.Outcome(recoveryName(algo, "no-heal"))
 		if none.Recovery != (monitor.RecoveryCounts{}) {
 			t.Errorf("%s/no-heal: recovery counters non-zero: %+v", algo, none.Recovery)
 		}
