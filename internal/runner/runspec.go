@@ -89,8 +89,15 @@ func FromPattern(p loadgen.Pattern) LoadSpec {
 }
 
 // Pattern materialises the spec; an empty Type yields a nil pattern (no
-// generator, for injection-driven runs).
+// generator, for injection-driven runs). A negative (or NaN) base or peak
+// rate is rejected: the generator would silently emit nothing.
 func (l LoadSpec) Pattern() (loadgen.Pattern, error) {
+	if !(l.Base >= 0) {
+		return nil, fmt.Errorf("runner: load base must be >= 0, got %g", l.Base)
+	}
+	if !(l.Peak >= 0) {
+		return nil, fmt.Errorf("runner: load peak must be >= 0, got %g", l.Peak)
+	}
 	switch l.Type {
 	case "":
 		return nil, nil

@@ -696,7 +696,13 @@ func (sc *Scenario) Validate() error {
 		if _, err := s.Spec(); err != nil {
 			return err
 		}
-		if _, err := s.Load.Pattern(); err != nil {
+		// Resolve the load through the runner's LoadSpec, the form Build
+		// runs, so both share its checks (e.g. negative rates).
+		p, err := s.Load.Pattern()
+		if err == nil {
+			_, err = runner.FromPattern(p).Pattern()
+		}
+		if err != nil {
 			return fmt.Errorf("scenario: service %q: %w", s.Name, err)
 		}
 	}

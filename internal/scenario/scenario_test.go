@@ -55,20 +55,36 @@ func TestParseValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(string) string
+		// want, when set, must appear in the error.
+		want []string
 	}{
-		{"bad duration", func(s string) string { return strings.Replace(s, `"90s"`, `"ninety"`, 1) }},
-		{"zero duration", func(s string) string { return strings.Replace(s, `"90s"`, `"0s"`, 1) }},
+		{"bad duration", func(s string) string { return strings.Replace(s, `"90s"`, `"ninety"`, 1) }, nil},
+		{"zero duration", func(s string) string { return strings.Replace(s, `"90s"`, `"0s"`, 1) }, nil},
 		{"no services", func(s string) string {
 			return strings.Replace(s, `"services": [`, `"services": [], "failures": [`, 1)
-		}},
-		{"bad kind", func(s string) string { return strings.Replace(s, `"kind": "cpu"`, `"kind": "gpu"`, 1) }},
-		{"bad load", func(s string) string { return strings.Replace(s, `"type": "wave"`, `"type": "sawtooth"`, 1) }},
-		{"empty name", func(s string) string { return strings.Replace(s, `"name": "api"`, `"name": ""`, 1) }},
+		}, nil},
+		{"bad kind", func(s string) string { return strings.Replace(s, `"kind": "cpu"`, `"kind": "gpu"`, 1) }, nil},
+		{"bad load", func(s string) string { return strings.Replace(s, `"type": "wave"`, `"type": "sawtooth"`, 1) }, nil},
+		{"empty name", func(s string) string { return strings.Replace(s, `"name": "api"`, `"name": ""`, 1) }, nil},
+		{"negative base", func(s string) string {
+			return strings.Replace(s, `{"type": "wave", "base": 10, "amplitude": 0.3, "period": "1m"}`,
+				`{"type": "constant", "base": -5}`, 1)
+		}, []string{`"api"`, "base"}},
+		{"negative peak", func(s string) string {
+			return strings.Replace(s, `{"type": "wave", "base": 10, "amplitude": 0.3, "period": "1m"}`,
+				`{"type": "burst", "base": 10, "peak": -20, "period": "1m", "burstLen": "10s"}`, 1)
+		}, []string{`"api"`, "peak"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Parse(strings.NewReader(tt.mutate(minimal))); err == nil {
-				t.Error("invalid scenario accepted")
+			_, err := Parse(strings.NewReader(tt.mutate(minimal)))
+			if err == nil {
+				t.Fatal("invalid scenario accepted")
+			}
+			for _, w := range tt.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not mention %s", err, w)
+				}
 			}
 		})
 	}
