@@ -5,10 +5,13 @@ package metrics
 // observability layer calls every monitor period.
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"time"
+
+	"hyscale/internal/workload"
 )
 
 // TestMergeSortedSuffixProperty cross-checks the in-place suffix merge
@@ -87,5 +90,101 @@ func TestServicesAllocFree(t *testing.T) {
 	r.Services() // size the scratch buffer
 	if allocs := testing.AllocsPerRun(100, func() { r.Services() }); allocs != 0 {
 		t.Errorf("Services allocates %.1f objects/call, want 0", allocs)
+	}
+}
+
+// TestSummariesMatchSortedUnionProperty checks Summarize and
+// SummarizeService against a reference that sorts the union of all samples
+// and takes nearest-rank percentiles. Random recorders mix empty services
+// (failures or reservations only), heavily duplicated latencies, and
+// summaries interleaved with recording.
+func TestSummariesMatchSortedUnionProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1013))
+	nearest := func(sorted []time.Duration, p float64) time.Duration {
+		rank := int(math.Ceil(p*float64(len(sorted)))) - 1
+		return sorted[max(rank, 0)]
+	}
+	reference := func(lats []time.Duration, completed, removal, conn uint64) Summary {
+		s := Summary{Completed: completed, RemovalFailures: removal, ConnectionFailures: conn}
+		s.Requests = completed + removal + conn
+		if len(lats) == 0 {
+			return s
+		}
+		sorted := append([]time.Duration(nil), lats...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		var total time.Duration
+		for _, l := range sorted {
+			total += l
+		}
+		s.MeanLatency = total / time.Duration(len(sorted))
+		s.P50Latency = nearest(sorted, 0.50)
+		s.P95Latency = nearest(sorted, 0.95)
+		s.P99Latency = nearest(sorted, 0.99)
+		s.MaxLatency = sorted[len(sorted)-1]
+		return s
+	}
+	type svcTruth struct {
+		lats                 []time.Duration
+		completed, rem, conn uint64
+	}
+	for trial := 0; trial < 200; trial++ {
+		r := NewRecorder()
+		nsvc := 1 + rng.Intn(6)
+		names := make([]string, nsvc)
+		truth := make(map[string]*svcTruth, nsvc)
+		for i := range names {
+			names[i] = string(rune('a' + i))
+			truth[names[i]] = &svcTruth{}
+		}
+		// Small value ranges force duplicates; some trials use one value.
+		span := 1 + rng.Intn(50)
+		if trial%10 == 0 {
+			span = 1
+		}
+		check := func(round int) {
+			t.Helper()
+			var all []time.Duration
+			var c, rm, cn uint64
+			for _, name := range names {
+				tr := truth[name]
+				all = append(all, tr.lats...)
+				c, rm, cn = c+tr.completed, rm+tr.rem, cn+tr.conn
+				if got, want := r.SummarizeService(name), reference(tr.lats, tr.completed, tr.rem, tr.conn); got != want {
+					t.Fatalf("trial %d round %d: SummarizeService(%s) = %+v, want %+v", trial, round, name, got, want)
+				}
+			}
+			if got, want := r.Summarize(), reference(all, c, rm, cn); got != want {
+				t.Fatalf("trial %d round %d: Summarize = %+v, want %+v", trial, round, got, want)
+			}
+		}
+		rounds := 1 + rng.Intn(5)
+		for round := 0; round < rounds; round++ {
+			for i, n := 0, rng.Intn(120); i < n; i++ {
+				name := names[rng.Intn(nsvc)]
+				tr := truth[name]
+				switch k := rng.Intn(10); {
+				case name == "a" && nsvc > 1: // "a" never completes anything
+					if k%2 == 0 {
+						r.RecordFailure(name, workload.FailureRemoval)
+						tr.rem++
+					} else {
+						r.Reserve(name, 8)
+					}
+				case k == 0:
+					r.RecordFailure(name, workload.FailureConnection)
+					tr.conn++
+				default:
+					lat := time.Duration(rng.Intn(span)) * time.Millisecond
+					r.RecordCompletion(name, lat)
+					tr.lats = append(tr.lats, lat)
+					tr.completed++
+				}
+			}
+			// Interleave the two summaries in either order between rounds.
+			if rng.Intn(2) == 0 {
+				r.Summarize()
+			}
+			check(round)
+		}
 	}
 }

@@ -130,3 +130,74 @@ func TestLiveness(t *testing.T) {
 		t.Errorf("liveness = %d, want 0", nm.Liveness())
 	}
 }
+
+// TestStatsWindowSemantics pins the sampling-window contract the Monitor
+// relies on: a report averages the samples since the previous report, a
+// fresh Manager on an already-sampled node starts with an empty window, a
+// missed query carries the window over to the next report, and a Starting
+// container reports zero usage.
+func TestStatsWindowSemantics(t *testing.T) {
+	n, nm, c := setup(t)
+	starting := container.New("c-1", spec(), "node-0", resources.Vector{CPU: 1, MemMB: 256}, time.Hour)
+	if err := n.AddContainer(starting); err != nil {
+		t.Fatal(err)
+	}
+	usage := func(rep Report, id string) resources.Vector {
+		t.Helper()
+		for _, cs := range rep.Containers {
+			if cs.ID == id {
+				return cs.Usage
+			}
+		}
+		t.Fatalf("container %s missing from report", id)
+		return resources.Vector{}
+	}
+
+	for _, cpu := range []float64{1, 2, 3} {
+		c.SetLastUsage(container.Usage{CPU: cpu, MemMB: 10 * cpu})
+		starting.SetLastUsage(container.Usage{CPU: 9})
+		nm.Sample()
+	}
+	// A second manager attached to the same node (a re-attach or a lease)
+	// has sampled nothing yet.
+	fresh := New(n)
+	if u := usage(fresh.Report(), "c-0"); u != (resources.Vector{}) {
+		t.Errorf("fresh manager reports %v, want zero", u)
+	}
+	rep := nm.Report()
+	if u := usage(rep, "c-0"); math.Abs(u.CPU-2) > 1e-9 || math.Abs(u.MemMB-20) > 1e-9 {
+		t.Errorf("window average = %v, want CPU 2 MemMB 20", u)
+	}
+	if u := usage(rep, "c-1"); u != (resources.Vector{}) {
+		t.Errorf("starting container reports %v, want zero", u)
+	}
+
+	// Samples before and after a missed query land in one report.
+	c.SetLastUsage(container.Usage{CPU: 4})
+	nm.Sample()
+	nm.NoteMissedQuery()
+	c.SetLastUsage(container.Usage{CPU: 2})
+	nm.Sample()
+	if u := usage(nm.Report(), "c-0"); math.Abs(u.CPU-3) > 1e-9 {
+		t.Errorf("window across a missed query = %v, want CPU 3", u)
+	}
+	if nm.MissedQueries() != 1 {
+		t.Errorf("missed queries = %d, want 1", nm.MissedQueries())
+	}
+	if u := usage(nm.Report(), "c-0"); u != (resources.Vector{}) {
+		t.Errorf("window after report = %v, want zero", u)
+	}
+
+	// The fresh manager's own window is independent of the first one's.
+	c.SetLastUsage(container.Usage{CPU: 1})
+	fresh.Sample()
+	nm.Sample()
+	c.SetLastUsage(container.Usage{CPU: 3})
+	nm.Sample()
+	if u := usage(fresh.Report(), "c-0"); math.Abs(u.CPU-1) > 1e-9 {
+		t.Errorf("fresh manager window = %v, want CPU 1", u)
+	}
+	if u := usage(nm.Report(), "c-0"); math.Abs(u.CPU-2) > 1e-9 {
+		t.Errorf("original manager window = %v, want CPU 2", u)
+	}
+}
