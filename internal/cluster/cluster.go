@@ -142,16 +142,13 @@ func (c *Cluster) ReplicasOf(service string) []*container.Container {
 	return out
 }
 
-// Advance runs one physics tick on every node and merges the results. The
-// returned TickResult's slices are scratch reused by the next Advance;
-// consume them before ticking again.
+// Advance runs one physics tick on every node, each appending its results
+// to one cluster-wide buffer in node order. The returned TickResult's slices
+// are scratch reused by the next Advance; consume them before ticking again.
 func (c *Cluster) Advance(now time.Duration, dt time.Duration) TickResult {
-	res := TickResult{Completed: c.tickBuf.Completed[:0], TimedOut: c.tickBuf.TimedOut[:0]}
+	c.tickBuf.Reset()
 	for _, n := range c.nodes {
-		r := n.Advance(now, dt)
-		res.Completed = append(res.Completed, r.Completed...)
-		res.TimedOut = append(res.TimedOut, r.TimedOut...)
+		n.advance(now, dt, &c.tickBuf)
 	}
-	c.tickBuf = res
-	return res
+	return c.tickBuf
 }

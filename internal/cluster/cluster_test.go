@@ -321,3 +321,45 @@ func TestClusterAdvanceMergesResults(t *testing.T) {
 		t.Errorf("Completed = %d, want 2 (one per node)", len(res.Completed))
 	}
 }
+
+// TestNodeAdvanceAllocFree pins a warm physics tick to zero allocations:
+// completions append into the node's reused result buffer while another
+// container keeps a request in flight throughout.
+func TestNodeAdvanceAllocFree(t *testing.T) {
+	n := testNode(t)
+	quick := testSpec()
+	quick.CPUPerRequest = 0.01
+	slow := testSpec()
+	slow.CPUPerRequest = 1e6
+	slow.Timeout = 1000 * time.Hour
+	c := running("quick-0", quick, resources.Vector{CPU: 2, MemMB: 1024})
+	busy := running("slow-0", slow, resources.Vector{CPU: 1, MemMB: 1024})
+	for _, cc := range []*container.Container{c, busy} {
+		if err := n.AddContainer(cc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy.Enqueue(workload.NewRequest(1, slow, 0))
+
+	tmpl := *workload.NewRequest(2, quick, 0)
+	reqs := make([]workload.Request, 4)
+	const dt = 100 * time.Millisecond
+	now := time.Duration(0)
+	step := func() {
+		for i := range reqs {
+			reqs[i] = tmpl
+			reqs[i].Arrival, reqs[i].Deadline = now, now+quick.Timeout
+			c.Enqueue(&reqs[i])
+		}
+		res := n.Advance(now, dt)
+		if len(res.Completed) != len(reqs) || busy.Inflight() != 1 {
+			t.Fatalf("tick at %v: %d completed, %d in flight on the busy replica; want %d and 1",
+				now, len(res.Completed), busy.Inflight(), len(reqs))
+		}
+		now += dt
+	}
+	step() // size the scratch buffers
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("warm Node.Advance allocates %.1f objects/tick, want 0", allocs)
+	}
+}

@@ -169,16 +169,7 @@ func (n *Node) HostsService(service string) bool {
 
 // TickResult aggregates what happened on a node (or across the cluster)
 // during one physics tick.
-type TickResult struct {
-	Completed []container.CompletedRequest
-	TimedOut  []*workload.Request
-}
-
-// merge appends o's contents into t.
-func (t *TickResult) merge(o container.AdvanceResult) {
-	t.Completed = append(t.Completed, o.Completed...)
-	t.TimedOut = append(t.TimedOut, o.TimedOut...)
-}
+type TickResult = container.AdvanceResult
 
 // Advance runs dt of physics on this node:
 //
@@ -194,11 +185,16 @@ func (t *TickResult) merge(o container.AdvanceResult) {
 // The returned TickResult's slices are scratch reused by the next Advance on
 // this node; consume them before ticking again.
 func (n *Node) Advance(now time.Duration, dt time.Duration) TickResult {
-	n.tickBuf.Completed = n.tickBuf.Completed[:0]
-	n.tickBuf.TimedOut = n.tickBuf.TimedOut[:0]
-	res := TickResult{Completed: n.tickBuf.Completed, TimedOut: n.tickBuf.TimedOut}
+	n.tickBuf.Reset()
+	n.advance(now, dt, &n.tickBuf)
+	return n.tickBuf
+}
+
+// advance runs Advance's physics, appending the tick's completions and
+// timeouts to res.
+func (n *Node) advance(now time.Duration, dt time.Duration, res *TickResult) {
 	if dt <= 0 || len(n.containers) == 0 {
-		return res
+		return
 	}
 	for _, c := range n.containers {
 		c.MaybeStart(now)
@@ -222,10 +218,8 @@ func (n *Node) Advance(now time.Duration, dt time.Duration) TickResult {
 			c.SetLastUsage(container.Usage{MemMB: 0})
 			continue
 		}
-		res.merge(c.Advance(now, dt, cpuRates[i], netShares[i].RateMbps))
+		c.Advance(now, dt, cpuRates[i], netShares[i].RateMbps, res)
 	}
-	n.tickBuf = res
-	return res
 }
 
 // cpuClaimant is one running container's demand in the weighted

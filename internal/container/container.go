@@ -7,6 +7,7 @@ package container
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hyscale/internal/resources"
@@ -165,7 +166,7 @@ func (c *Container) QueueFull() bool {
 func (c *Container) Release(r *workload.Request, success bool) bool {
 	for i, held := range c.inflight {
 		if held == r {
-			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
+			c.inflight = slices.Delete(c.inflight, i, i+1) // zeroes the vacated slot
 			if success {
 				c.completed++
 			}
@@ -264,14 +265,25 @@ func (c *Container) SetLastUsage(u Usage) { c.lastUsage = u }
 // report).
 func (c *Container) LastUsage() Usage { return c.lastUsage }
 
-// AdvanceResult describes what happened to the container's in-flight
-// requests during one physics tick.
+// AdvanceResult collects what happened to in-flight requests during one
+// physics tick. Advance appends to it, so one caller-owned result gathers a
+// whole node's (or cluster's) tick without per-container slices.
 type AdvanceResult struct {
 	// Completed holds requests that finished both phases this tick, along
 	// with the simulated completion time of each.
 	Completed []CompletedRequest
 	// TimedOut holds requests that crossed their deadline this tick.
 	TimedOut []*workload.Request
+}
+
+// Reset empties the result for reuse, keeping its capacity. The consumed
+// entries are cleared first: a stale pointer past len would keep a finished
+// request reachable until its slot happened to be overwritten.
+func (r *AdvanceResult) Reset() {
+	clear(r.Completed)
+	clear(r.TimedOut)
+	r.Completed = r.Completed[:0]
+	r.TimedOut = r.TimedOut[:0]
 }
 
 // CompletedRequest pairs a finished request with its completion instant.
@@ -283,17 +295,16 @@ type CompletedRequest struct {
 // Advance progresses in-flight requests by dt given the CPU rate (cores
 // actually delivered to this container this tick, after node-level sharing
 // and contention) and the egress rate (Mbps delivered after tc shaping and
-// tx-queue contention). It returns completions and timeouts and updates the
-// container's usage sample.
+// tx-queue contention). It appends completions and timeouts to res and
+// updates the container's usage sample.
 //
 // Within the container, requests in the CPU phase share the delivered CPU
 // equally (processor sharing), and requests in the network phase share the
 // delivered egress bandwidth equally — matching how the kernel scheduler and
 // a fair tc qdisc behave.
-func (c *Container) Advance(now time.Duration, dt time.Duration, cpuRate, netRate float64) AdvanceResult {
-	var res AdvanceResult
+func (c *Container) Advance(now time.Duration, dt time.Duration, cpuRate, netRate float64, res *AdvanceResult) {
 	if dt <= 0 {
-		return res
+		return
 	}
 	sec := dt.Seconds()
 
@@ -417,7 +428,6 @@ func (c *Container) Advance(now time.Duration, dt time.Duration, cpuRate, netRat
 		MemMB:   c.MemUsageMB(),
 		NetMbps: netConsumed / sec,
 	}
-	return res
 }
 
 // Remove transitions the container to Removed and returns the in-flight

@@ -74,7 +74,8 @@ func TestAdvanceCompletesCPUWork(t *testing.T) {
 	c.Enqueue(r)
 
 	// 1 core for 0.5s: half done.
-	res := c.Advance(0, 500*time.Millisecond, 1.0, 0)
+	var res AdvanceResult
+	c.Advance(0, 500*time.Millisecond, 1.0, 0, &res)
 	if len(res.Completed) != 0 {
 		t.Fatal("completed too early")
 	}
@@ -83,7 +84,8 @@ func TestAdvanceCompletesCPUWork(t *testing.T) {
 	}
 
 	// Another full second at 1 core: completes mid-tick at 0.5s + 0.5s.
-	res = c.Advance(500*time.Millisecond, time.Second, 1.0, 0)
+	res.Reset()
+	c.Advance(500*time.Millisecond, time.Second, 1.0, 0, &res)
 	if len(res.Completed) != 1 {
 		t.Fatalf("Completed = %d, want 1", len(res.Completed))
 	}
@@ -103,7 +105,8 @@ func TestAdvanceProcessorSharing(t *testing.T) {
 	c.Enqueue(r2)
 
 	// 2 cores across 2 requests: 1 core each for 1s finishes both (work=1).
-	res := c.Advance(0, time.Second, 2.0, 0)
+	var res AdvanceResult
+	c.Advance(0, time.Second, 2.0, 0, &res)
 	if len(res.Completed) != 2 {
 		t.Fatalf("Completed = %d, want 2", len(res.Completed))
 	}
@@ -114,7 +117,7 @@ func TestAdvanceSingleRequestCappedAtOneCore(t *testing.T) {
 	r := workload.NewRequest(1, spec(), 0)
 	c.Enqueue(r)
 	// 4 cores delivered but a single-threaded request uses at most 1.
-	c.Advance(0, 500*time.Millisecond, 4.0, 0)
+	c.Advance(0, 500*time.Millisecond, 4.0, 0, &AdvanceResult{})
 	if math.Abs(r.RemainingCPU-0.5) > 1e-9 {
 		t.Errorf("RemainingCPU = %v, want 0.5 (1-core cap)", r.RemainingCPU)
 	}
@@ -129,7 +132,7 @@ func TestAdvanceNetworkPhase(t *testing.T) {
 	c.Enqueue(r)
 
 	// CPU phase finishes within the first tick; request moves to net phase.
-	c.Advance(0, 200*time.Millisecond, 1.0, 100)
+	c.Advance(0, 200*time.Millisecond, 1.0, 100, &AdvanceResult{})
 	if r.Phase != workload.PhaseNet {
 		t.Fatalf("Phase = %v, want PhaseNet", r.Phase)
 	}
@@ -138,7 +141,8 @@ func TestAdvanceNetworkPhase(t *testing.T) {
 	}
 
 	// 100 Mbps for 0.1s = 10 Mb: transmission completes.
-	res := c.Advance(200*time.Millisecond, 100*time.Millisecond, 0, 100)
+	var res AdvanceResult
+	c.Advance(200*time.Millisecond, 100*time.Millisecond, 0, 100, &res)
 	if len(res.Completed) != 1 {
 		t.Fatalf("Completed = %d, want 1", len(res.Completed))
 	}
@@ -149,7 +153,8 @@ func TestAdvanceTimeout(t *testing.T) {
 	r := workload.NewRequest(1, spec(), 0) // deadline at 30s
 	c.Enqueue(r)
 	// No CPU delivered; at the 30s boundary the request times out.
-	res := c.Advance(29*time.Second+900*time.Millisecond, 100*time.Millisecond, 0, 0)
+	var res AdvanceResult
+	c.Advance(29*time.Second+900*time.Millisecond, 100*time.Millisecond, 0, 0, &res)
 	if len(res.TimedOut) != 1 {
 		t.Fatalf("TimedOut = %d, want 1", len(res.TimedOut))
 	}
@@ -213,7 +218,7 @@ func TestStressCPUDemand(t *testing.T) {
 		t.Fatalf("CPUDemand = %v, want 4", got)
 	}
 	// Usage reflects the granted rate even with no requests.
-	c.Advance(0, time.Second, 3.0, 0)
+	c.Advance(0, time.Second, 3.0, 0, &AdvanceResult{})
 	if got := c.LastUsage().CPU; math.Abs(got-3) > 1e-9 {
 		t.Errorf("stress usage = %v, want 3", got)
 	}
@@ -225,7 +230,7 @@ func TestStressNetFlows(t *testing.T) {
 	if got := c.NetFlowCount(); got != 32 {
 		t.Fatalf("NetFlowCount = %d, want 32", got)
 	}
-	c.Advance(0, time.Second, 0, 250)
+	c.Advance(0, time.Second, 0, 250, &AdvanceResult{})
 	if got := c.LastUsage().NetMbps; math.Abs(got-250) > 1e-9 {
 		t.Errorf("stress net usage = %v, want 250", got)
 	}
@@ -235,7 +240,7 @@ func TestUsageAccounting(t *testing.T) {
 	c := newRunning(t, spec(), resources.Vector{CPU: 1, MemMB: 512})
 	r := workload.NewRequest(1, spec(), 0)
 	c.Enqueue(r)
-	c.Advance(0, time.Second, 0.5, 0)
+	c.Advance(0, time.Second, 0.5, 0, &AdvanceResult{})
 	u := c.LastUsage()
 	if math.Abs(u.CPU-0.5) > 1e-9 {
 		t.Errorf("usage CPU = %v, want 0.5", u.CPU)
@@ -255,11 +260,28 @@ func TestCPUDemandCountsOnlyCPUPhase(t *testing.T) {
 	if c.CPUDemand() != 1 {
 		t.Fatal("CPU-phase request should demand CPU")
 	}
-	c.Advance(0, 200*time.Millisecond, 1, 0) // finish CPU phase
+	c.Advance(0, 200*time.Millisecond, 1, 0, &AdvanceResult{}) // finish CPU phase
 	if r.Phase != workload.PhaseNet {
 		t.Fatalf("Phase = %v, want net", r.Phase)
 	}
 	if c.CPUDemand() != 0 {
 		t.Error("net-phase request still demands CPU")
+	}
+}
+
+// TestAdvanceResultResetClears checks that reusing a result drops the
+// consumed request pointers instead of leaving them past len.
+func TestAdvanceResultResetClears(t *testing.T) {
+	r := workload.NewRequest(1, spec(), 0)
+	res := AdvanceResult{
+		Completed: []CompletedRequest{{Request: r, At: time.Second}},
+		TimedOut:  []*workload.Request{r},
+	}
+	res.Reset()
+	if len(res.Completed) != 0 || len(res.TimedOut) != 0 {
+		t.Fatalf("Reset left %d completed, %d timed out", len(res.Completed), len(res.TimedOut))
+	}
+	if res.Completed[:1][0].Request != nil || res.TimedOut[:1][0] != nil {
+		t.Error("Reset kept a consumed request reachable past len")
 	}
 }

@@ -87,13 +87,36 @@ type Func func(at time.Duration) float64
 // Rate implements Pattern.
 func (f Func) Rate(at time.Duration) float64 { return f(at) }
 
-// IDAllocator hands out process-wide unique request IDs for one experiment.
-type IDAllocator struct{ next uint64 }
+// IDAllocator hands out process-wide unique request IDs for one experiment,
+// and the requests themselves. Requests are carved from fixed-size chunks,
+// so a tick's arrivals cost one allocation per requestChunk requests instead
+// of one each. A chunk is reclaimed once none of its requests is reachable,
+// which is why every buffer that holds requests across calls must clear the
+// pointers it has consumed: one stale pointer pins a whole chunk.
+type IDAllocator struct {
+	next uint64
+	slab []workload.Request
+}
+
+// requestChunk is the number of requests allocated together.
+const requestChunk = 128
 
 // Next returns a fresh request ID.
 func (a *IDAllocator) Next() uint64 {
 	a.next++
 	return a.next
+}
+
+// NewRequest returns a fresh request for spec arriving at the given
+// simulated time, with the next ID, carved from the current chunk.
+func (a *IDAllocator) NewRequest(spec workload.ServiceSpec, arrival time.Duration) *workload.Request {
+	if len(a.slab) == 0 {
+		a.slab = make([]workload.Request, requestChunk)
+	}
+	r := &a.slab[0]
+	a.slab = a.slab[1:]
+	r.Init(a.Next(), spec, arrival)
+	return r
 }
 
 // Generator produces request arrivals for one microservice.
@@ -107,11 +130,14 @@ type Generator struct {
 	// accumulator. Deterministic mode is exactly reproducible and is the
 	// default for benchmarks.
 	Poisson bool
+	// ServiceID is stamped on every generated request; the world that owns
+	// the generator sets it to the service's interned ID.
+	ServiceID workload.ServiceID
 
 	ids *IDAllocator
 	acc float64
 	// buf is Arrivals' reusable result buffer; each tick's slice is valid
-	// until the next Arrivals call on this generator.
+	// until the next Arrivals call on this generator, which clears it.
 	buf []*workload.Request
 }
 
@@ -127,6 +153,8 @@ func NewGenerator(spec workload.ServiceSpec, p Pattern, ids *IDAllocator) *Gener
 // The returned slice is a reused scratch buffer, valid until the next
 // Arrivals call on this generator — consume (route) it immediately.
 func (g *Generator) Arrivals(now, dt time.Duration, rng *rand.Rand) []*workload.Request {
+	clear(g.buf)
+	g.buf = g.buf[:0]
 	if dt <= 0 {
 		return nil
 	}
@@ -144,10 +172,11 @@ func (g *Generator) Arrivals(now, dt time.Duration, rng *rand.Rand) []*workload.
 	if n <= 0 {
 		return nil
 	}
-	g.buf = g.buf[:0]
 	for i := 0; i < n; i++ {
 		at := now + time.Duration(float64(dt)*(float64(i)+0.5)/float64(n))
-		g.buf = append(g.buf, workload.NewRequest(g.ids.Next(), g.Spec, at))
+		r := g.ids.NewRequest(g.Spec, at)
+		r.ServiceID = g.ServiceID
+		g.buf = append(g.buf, r)
 	}
 	return g.buf
 }

@@ -209,3 +209,43 @@ func TestZeroAndNegativeWindows(t *testing.T) {
 		t.Error("negative window produced arrivals")
 	}
 }
+
+// TestSlabRequests checks that slab-carved requests are initialised like
+// workload.NewRequest builds them, numbered in order, and distinct across a
+// chunk boundary.
+func TestSlabRequests(t *testing.T) {
+	var ids IDAllocator
+	seen := make(map[*workload.Request]bool)
+	for i := 1; i <= 2*requestChunk+1; i++ {
+		r := ids.NewRequest(spec(), time.Duration(i))
+		want := workload.NewRequest(uint64(i), spec(), time.Duration(i))
+		if *r != *want {
+			t.Fatalf("request %d = %+v, want %+v", i, *r, *want)
+		}
+		if seen[r] {
+			t.Fatalf("request %d reuses storage", i)
+		}
+		seen[r] = true
+	}
+}
+
+// TestArrivalsClearConsumedBuffer checks that a smaller tick does not leave
+// the previous tick's requests reachable past the end of the reused buffer.
+func TestArrivalsClearConsumedBuffer(t *testing.T) {
+	var ids IDAllocator
+	g := NewGenerator(spec(), Constant{RPS: 50}, &ids)
+	g.ServiceID = 7
+	first := g.Arrivals(0, time.Second, nil)
+	if len(first) != 50 || first[0].ServiceID != 7 {
+		t.Fatalf("first tick: %d arrivals, ServiceID %d; want 50 and 7", len(first), first[0].ServiceID)
+	}
+	g.Pattern = Constant{RPS: 5}
+	if got := len(g.Arrivals(time.Second, time.Second, nil)); got != 5 {
+		t.Fatalf("second tick: %d arrivals, want 5", got)
+	}
+	for i, r := range g.buf[5:cap(g.buf)] {
+		if r != nil {
+			t.Fatalf("buffer slot %d still holds request %d", 5+i, r.ID)
+		}
+	}
+}

@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"hyscale/internal/stats"
@@ -21,18 +21,18 @@ import (
 // experiment tables report) and, in parallel, a constant-memory log-bucket
 // histogram for long-lived deployments to export (see LatencyHistogram and
 // the /v1/latency endpoint in internal/httpapi).
+//
+// Services are interned: each name gets a dense workload.ServiceID on first
+// use (Intern), and the ID-keyed methods index a slice. The platform interns
+// its services at registration, so its IDs are the recorder's; the
+// name-keyed methods are thin wrappers for everything else.
 type Recorder struct {
-	services map[string]*ServiceStats
-	order    []string
-	hist     *stats.Histogram
-
-	// allSorted caches the cross-service sorted latency slice for Summarize;
-	// it is valid while it holds exactly as many samples as have been
-	// recorded (latencies are append-only, so a length match means clean).
-	// Refreshes are incremental: each service tracks how many of its samples
-	// were already merged (allTaken), so a refresh sorts and merges only the
-	// newly-appended suffix instead of re-sorting everything.
-	allSorted []time.Duration
+	ids  map[string]workload.ServiceID
+	byID []*ServiceStats
+	// order lists the services that have recorded anything (or reserved
+	// room), in first-seen order.
+	order []*ServiceStats
+	hist  *stats.Histogram
 
 	// svcScratch is Services' reusable result buffer — valid until the next
 	// Services call.
@@ -45,8 +45,8 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		services: make(map[string]*ServiceStats),
-		hist:     stats.DefaultLatencyHistogram(),
+		ids:  make(map[string]workload.ServiceID),
+		hist: stats.DefaultLatencyHistogram(),
 	}
 }
 
@@ -63,32 +63,27 @@ type ServiceStats struct {
 	RemovalFailures    uint64
 	ConnectionFailures uint64
 
+	// latencies holds every completion's latency. latencies[:sortedN] is in
+	// ascending order; samples recorded since the last summary follow it in
+	// arrival order until the next summary sorts them in place.
 	latencies []time.Duration
+	sortedN   int
 	totalLat  time.Duration
 
-	// sorted is a reused scratch copy of latencies kept in ascending order;
-	// like Recorder.allSorted it is clean exactly when the lengths match, so
-	// repeated percentile/summary calls between recordings cost nothing.
-	sorted []time.Duration
-
-	// allTaken counts how many of this service's latencies the Recorder has
-	// already merged into its cross-service allSorted cache.
-	allTaken int
-
-	// mergeBuf is the scratch for this service's incremental sorted merges.
-	mergeBuf []time.Duration
+	// seen marks a service listed in Recorder.order.
+	seen bool
 }
 
-// sortedLatencies returns the service's latencies in ascending order. The
-// scratch copy is maintained incrementally: only samples appended since the
-// last call are sorted, then merged into the existing run — O(new·log new +
-// shifted) instead of a full O(n log n) re-sort per refresh.
-func (s *ServiceStats) sortedLatencies() []time.Duration {
-	if have := len(s.sorted); have != len(s.latencies) {
-		s.sorted = append(s.sorted, s.latencies[have:]...)
-		s.mergeBuf = mergeSortedSuffix(s.sorted, have, s.mergeBuf)
+// sortedLatencies returns the service's latencies in ascending order,
+// sorting in place: only samples appended since the last call are sorted,
+// then merged into the sorted prefix — O(new·log new + shifted) instead of
+// a full re-sort per refresh. buf is the merge scratch.
+func (s *ServiceStats) sortedLatencies(buf *[]time.Duration) []time.Duration {
+	if s.sortedN != len(s.latencies) {
+		*buf = mergeSortedSuffix(s.latencies, s.sortedN, *buf)
+		s.sortedN = len(s.latencies)
 	}
-	return s.sorted
+	return s.latencies
 }
 
 // mergeSortedSuffix sorts all[n:] and merges it into the already-sorted
@@ -98,7 +93,7 @@ func mergeSortedSuffix(all []time.Duration, n int, buf []time.Duration) []time.D
 	if len(tail) == 0 {
 		return buf
 	}
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(tail)
 	if n == 0 || all[n-1] <= tail[0] {
 		// Already in order — the common case when latencies trend upward.
 		return buf
@@ -120,19 +115,45 @@ func mergeSortedSuffix(all []time.Duration, n int, buf []time.Duration) []time.D
 	return buf
 }
 
-func (r *Recorder) service(name string) *ServiceStats {
-	s, ok := r.services[name]
+// Intern returns the service's ID, assigning the next dense ID on first
+// use. Interning alone does not list the service in Services.
+func (r *Recorder) Intern(service string) workload.ServiceID {
+	id, ok := r.ids[service]
 	if !ok {
-		s = &ServiceStats{Name: name}
-		r.services[name] = s
-		r.order = append(r.order, name)
+		id = workload.ServiceID(len(r.byID))
+		r.ids[service] = id
+		r.byID = append(r.byID, &ServiceStats{Name: service})
+	}
+	return id
+}
+
+// lookup returns the service's stats without interning, or nil.
+func (r *Recorder) lookup(service string) *ServiceStats {
+	if id, ok := r.ids[service]; ok {
+		return r.byID[id]
+	}
+	return nil
+}
+
+// record returns an interned service's stats, listing it in first-seen
+// order.
+func (r *Recorder) record(id workload.ServiceID) *ServiceStats {
+	s := r.byID[id]
+	if !s.seen {
+		s.seen = true
+		r.order = append(r.order, s)
 	}
 	return s
 }
 
 // RecordCompletion records a successful request with its response time.
 func (r *Recorder) RecordCompletion(service string, latency time.Duration) {
-	s := r.service(service)
+	r.RecordCompletionID(r.Intern(service), latency)
+}
+
+// RecordCompletionID is RecordCompletion for an interned service.
+func (r *Recorder) RecordCompletionID(id workload.ServiceID, latency time.Duration) {
+	s := r.record(id)
 	s.Completed++
 	s.latencies = append(s.latencies, latency)
 	s.totalLat += latency
@@ -141,7 +162,12 @@ func (r *Recorder) RecordCompletion(service string, latency time.Duration) {
 
 // RecordFailure records a failed request with its failure class.
 func (r *Recorder) RecordFailure(service string, class workload.FailureClass) {
-	s := r.service(service)
+	r.RecordFailureID(r.Intern(service), class)
+}
+
+// RecordFailureID is RecordFailure for an interned service.
+func (r *Recorder) RecordFailureID(id workload.ServiceID, class workload.FailureClass) {
+	s := r.record(id)
 	switch class {
 	case workload.FailureRemoval:
 		s.RemovalFailures++
@@ -154,10 +180,7 @@ func (r *Recorder) RecordFailure(service string, class workload.FailureClass) {
 // slice is a reused scratch buffer, valid until the next Services call; copy
 // it to keep it longer.
 func (r *Recorder) Services() []*ServiceStats {
-	r.svcScratch = r.svcScratch[:0]
-	for _, name := range r.order {
-		r.svcScratch = append(r.svcScratch, r.services[name])
-	}
+	r.svcScratch = append(r.svcScratch[:0], r.order...)
 	return r.svcScratch
 }
 
@@ -165,7 +188,7 @@ func (r *Recorder) Services() []*ServiceStats {
 // about n requests, so bulk injection does not grow the sample slices
 // repeatedly. It never shrinks and is safe to call at any time.
 func (r *Recorder) Reserve(service string, n int) {
-	s := r.service(service)
+	s := r.record(r.Intern(service))
 	if extra := n - (cap(s.latencies) - len(s.latencies)); extra > 0 {
 		grown := make([]time.Duration, len(s.latencies), cap(s.latencies)+extra)
 		copy(grown, s.latencies)
@@ -178,8 +201,8 @@ func (r *Recorder) Reserve(service string, n int) {
 // observability layer samples each monitor period (unknown services return
 // zeros).
 func (r *Recorder) ServiceCounters(name string) (completed, removalFailed, connFailed uint64, totalLatency time.Duration) {
-	s, ok := r.services[name]
-	if !ok {
+	s := r.lookup(name)
+	if s == nil {
 		return 0, 0, 0, 0
 	}
 	return s.Completed, s.RemovalFailures, s.ConnectionFailures, s.totalLat
@@ -232,49 +255,81 @@ func (s Summary) String() string {
 		s.MeanLatency.Round(time.Millisecond), s.P95Latency.Round(time.Millisecond))
 }
 
-// Summarize aggregates all services into one Summary.
+// Summarize aggregates all services into one Summary. Percentiles are
+// nearest-rank over the union of every service's samples, selected from the
+// per-service sorted runs without materialising the union.
 func (r *Recorder) Summarize() Summary {
 	var sum Summary
 	var total time.Duration
 	samples := 0
-	for _, s := range r.services {
+	for _, s := range r.order {
 		sum.Completed += s.Completed
 		sum.RemovalFailures += s.RemovalFailures
 		sum.ConnectionFailures += s.ConnectionFailures
-		samples += len(s.latencies)
-		total += s.totalLat
+		if len(s.latencies) > 0 {
+			s.sortedLatencies(&r.mergeBuf)
+			samples += len(s.latencies)
+			total += s.totalLat
+		}
 	}
 	sum.Requests = sum.Completed + sum.RemovalFailures + sum.ConnectionFailures
 	if samples > 0 {
-		if len(r.allSorted) != samples {
-			// Gather only the samples recorded since the last refresh (in
-			// deterministic first-seen service order), sort that suffix, and
-			// merge it into the existing sorted run.
-			have := len(r.allSorted)
-			for _, name := range r.order {
-				s := r.services[name]
-				if s.allTaken < len(s.latencies) {
-					r.allSorted = append(r.allSorted, s.latencies[s.allTaken:]...)
-					s.allTaken = len(s.latencies)
-				}
-			}
-			r.mergeBuf = mergeSortedSuffix(r.allSorted, have, r.mergeBuf)
-		}
-		all := r.allSorted
-		sum.MeanLatency = total / time.Duration(len(all))
-		sum.P50Latency = percentile(all, 0.50)
-		sum.P95Latency = percentile(all, 0.95)
-		sum.P99Latency = percentile(all, 0.99)
-		sum.MaxLatency = all[len(all)-1]
+		sum.MeanLatency = total / time.Duration(samples)
+		sum.P50Latency = r.rankValue(nearestRank(samples, 0.50))
+		sum.P95Latency = r.rankValue(nearestRank(samples, 0.95))
+		sum.P99Latency = r.rankValue(nearestRank(samples, 0.99))
+		sum.MaxLatency = r.rankValue(samples - 1)
 	}
 	return sum
+}
+
+// rankValue returns the k-th smallest (0-based) latency across all services'
+// sorted runs: the smallest recorded value v with more than k samples ≤ v.
+// It binary-searches the value range, counting ≤ v in each run by binary
+// search, so it costs O(log range · services · log samples).
+func (r *Recorder) rankValue(k int) time.Duration {
+	lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
+	for _, s := range r.order {
+		if n := len(s.latencies); n > 0 {
+			lo = min(lo, s.latencies[0])
+			hi = max(hi, s.latencies[n-1])
+		}
+	}
+	for lo < hi {
+		// hi-lo may overflow int64 but is exact as uint64.
+		mid := lo + time.Duration(uint64(hi-lo)/2)
+		count := 0
+		for _, s := range r.order {
+			count += upperBound(s.latencies, mid)
+		}
+		if count > k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// upperBound returns how many elements of the ascending slice are ≤ v.
+func upperBound(sorted []time.Duration, v time.Duration) int {
+	i, j := 0, len(sorted)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if sorted[h] <= v {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // SummarizeService aggregates a single service, returning a zero Summary for
 // unknown names.
 func (r *Recorder) SummarizeService(name string) Summary {
-	s, ok := r.services[name]
-	if !ok {
+	s := r.lookup(name)
+	if s == nil {
 		return Summary{}
 	}
 	var sum Summary
@@ -283,7 +338,7 @@ func (r *Recorder) SummarizeService(name string) Summary {
 	sum.ConnectionFailures = s.ConnectionFailures
 	sum.Requests = sum.Completed + sum.RemovalFailures + sum.ConnectionFailures
 	if len(s.latencies) > 0 {
-		lat := s.sortedLatencies()
+		lat := s.sortedLatencies(&r.mergeBuf)
 		sum.MeanLatency = s.totalLat / time.Duration(len(lat))
 		sum.P50Latency = percentile(lat, 0.50)
 		sum.P95Latency = percentile(lat, 0.95)
@@ -299,14 +354,14 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	return sorted[nearestRank(len(sorted), p)]
+}
+
+// nearestRank returns the 0-based index of the p-quantile (0..1) among n
+// sorted samples under the nearest-rank method.
+func nearestRank(n int, p float64) int {
+	rank := int(math.Ceil(p*float64(n))) - 1
+	return min(max(rank, 0), n-1)
 }
 
 // TimeSeries is an append-only series of (time, value) samples used to

@@ -25,6 +25,7 @@ import (
 	"hyscale/internal/core"
 	"hyscale/internal/obs"
 	"hyscale/internal/resources"
+	"hyscale/internal/workload"
 )
 
 // EvacCounts tallies the plane's disaster-recovery activity.
@@ -149,7 +150,7 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 	}
 	free := p.freeCapacity(z)
 	for _, s := range append([]string(nil), z.services...) {
-		st := z.mon.byName[s]
+		st := z.mon.lookup(s)
 		if st == nil {
 			continue
 		}
@@ -178,7 +179,7 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 		moveServiceState(z.mon, primary.mon, s)
 		z.removeService(s)
 		primary.services = append(primary.services, s)
-		p.zoneOfService[s] = primary.idx
+		p.homeOf[st.id] = primary.idx
 		// Lost-replica ledger entries follow their pending to whichever
 		// monitor executes the replacement, so finishLost resolves locally;
 		// entries with no pending left (replacement already ran or
@@ -187,8 +188,8 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 		for si, share := range shares {
 			dest := p.zones[share.zone]
 			if si > 0 && share.count > 0 {
-				p.ensureGuest(dest, primary.mon.byName[s], share.count)
-				p.addSpill(s, dest.idx)
+				p.ensureGuest(dest, st, share.count)
+				p.addSpill(st.id, dest.idx)
 				p.evac.SpilloverPlacements += uint64(share.count)
 			}
 			for k := 0; k < share.count && idx < len(pend); k++ {
@@ -323,17 +324,16 @@ func (p *Plane) ensureGuest(za *zoneArbiter, home *serviceState, reserve int) {
 	if home == nil {
 		return
 	}
-	name := home.spec.Name
-	if g, ok := za.mon.byName[name]; ok && g.guest {
+	if g := za.mon.at(home.id); g != nil && g.guest {
 		g.nextIdx = home.nextIdx
 		home.nextIdx += reserve
 		return
 	}
-	g := &serviceState{spec: home.spec, info: home.info, guest: true, nextIdx: home.nextIdx}
+	g := &serviceState{id: home.id, spec: home.spec, info: home.info, guest: true, nextIdx: home.nextIdx}
 	home.nextIdx += reserve
 	za.mon.services = append(za.mon.services, g)
-	za.mon.byName[name] = g
-	za.guests = append(za.guests, name)
+	za.mon.bind(g.id, g)
+	za.guests = append(za.guests, home.spec.Name)
 	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil // a restore must not resurrect a pre-shard view
 }
@@ -344,7 +344,7 @@ func (p *Plane) ensureGuest(za *zoneArbiter, home *serviceState, reserve int) {
 // the service's current home. Used both when a guest's host zone dies (no
 // live replicas remain then) and when the service migrates home.
 func (p *Plane) dropGuest(za *zoneArbiter, s string, dest *zoneArbiter, now time.Duration) []resources.Vector {
-	g := za.mon.byName[s]
+	g := za.mon.lookup(s)
 	if g == nil || !g.guest {
 		return nil
 	}
@@ -358,7 +358,7 @@ func (p *Plane) dropGuest(za *zoneArbiter, s string, dest *zoneArbiter, now time
 	g.replicaIDs = g.replicaIDs[:0]
 	movePendings(za.mon, dest.mon, s)
 	moveLost(za.mon, dest.mon, s)
-	delete(za.mon.byName, s)
+	za.mon.bind(g.id, nil)
 	for i, st := range za.mon.services {
 		if st == g {
 			za.mon.services = append(za.mon.services[:i], za.mon.services[i+1:]...)
@@ -366,7 +366,7 @@ func (p *Plane) dropGuest(za *zoneArbiter, s string, dest *zoneArbiter, now time
 		}
 	}
 	za.guests = removeString(za.guests, s)
-	p.removeSpill(s, za.idx)
+	p.removeSpill(g.id, za.idx)
 	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil
 	dest.mon.lastCheckpoint = nil
@@ -391,12 +391,12 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 		}
 	}
 	for _, s := range names {
-		cur := p.zones[p.zoneOfService[s]]
+		cur := p.home(s)
 		if cur == z {
 			delete(p.evacHome, s)
 			continue
 		}
-		st := cur.mon.byName[s]
+		st := cur.mon.lookup(s)
 		if st == nil {
 			delete(p.evacHome, s)
 			continue
@@ -405,10 +405,10 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 		// the home's own replicas: every displaced replica's allocation ends
 		// up in allocs for re-placement back here.
 		var allocs []resources.Vector
-		for _, zi := range append([]int(nil), p.spills[s]...) {
+		for _, zi := range append([]int(nil), p.spills[st.id]...) {
 			allocs = append(allocs, p.dropGuest(p.zones[zi], s, cur, now)...)
 		}
-		delete(p.spills, s)
+		p.spills[st.id] = nil
 		for _, id := range append([]string(nil), st.replicaIDs...) {
 			if c, _ := cur.mon.findReplica(id); c != nil && c.State != container.StateRemoved {
 				allocs = append(allocs, c.Alloc)
@@ -419,7 +419,7 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 		moveServiceState(cur.mon, z.mon, s)
 		cur.removeService(s)
 		z.services = append(z.services, s)
-		p.zoneOfService[s] = z.idx
+		p.homeOf[st.id] = z.idx
 		movePendings(cur.mon, z.mon, s)
 		moveLost(cur.mon, z.mon, s)
 		p.resolveLostHome(z, s, now)
@@ -431,7 +431,7 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 		// Every replica the service now has was started this instant with
 		// zero observed usage; hold the algorithm off for one poll so it
 		// does not trim them to the minimum before stats arrive.
-		if home := z.mon.byName[s]; home != nil && home.holdPolls == 0 {
+		if home := z.mon.lookup(s); home != nil && home.holdPolls == 0 {
 			home.holdPolls = 1
 			z.mon.held++
 		}
@@ -451,7 +451,7 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 // survivors are re-adopted (and any still-queued replacement cancelled),
 // replaced survivors are drained as stale, vanished replicas are forgotten.
 func (p *Plane) resolveLostHome(z *zoneArbiter, s string, now time.Duration) {
-	st := z.mon.byName[s]
+	st := z.mon.lookup(s)
 	if st == nil {
 		return
 	}
@@ -534,24 +534,21 @@ func (p *Plane) dropLostEverywhere(id string) {
 }
 
 // addSpill records that a service keeps a spillover shard in zone zi.
-func (p *Plane) addSpill(s string, zi int) {
-	for _, z := range p.spills[s] {
+func (p *Plane) addSpill(id workload.ServiceID, zi int) {
+	for _, z := range p.spills[id] {
 		if z == zi {
 			return
 		}
 	}
-	p.spills[s] = append(p.spills[s], zi)
+	p.spills[id] = append(p.spills[id], zi)
 }
 
 // removeSpill forgets a service's spillover shard in zone zi.
-func (p *Plane) removeSpill(s string, zi int) {
-	zs := p.spills[s]
+func (p *Plane) removeSpill(id workload.ServiceID, zi int) {
+	zs := p.spills[id]
 	for i, z := range zs {
 		if z == zi {
-			p.spills[s] = append(zs[:i], zs[i+1:]...)
-			if len(p.spills[s]) == 0 {
-				delete(p.spills, s)
-			}
+			p.spills[id] = append(zs[:i], zs[i+1:]...)
 			return
 		}
 	}
@@ -575,11 +572,11 @@ func removeString(xs []string, s string) []string {
 // Both monitors' topologies change and neither's checkpoint may survive — a
 // restore would otherwise resurrect the service in its old zone.
 func moveServiceState(from, to *Monitor, s string) {
-	st := from.byName[s]
+	st := from.lookup(s)
 	if st == nil {
 		return
 	}
-	delete(from.byName, s)
+	from.bind(st.id, nil)
 	for i, x := range from.services {
 		if x == st {
 			from.services = append(from.services[:i], from.services[i+1:]...)
@@ -590,7 +587,7 @@ func moveServiceState(from, to *Monitor, s string) {
 	st.resolved = st.resolved[:0]
 	st.resolvedGen = 0 // topoGen starts at 1, so 0 always misses the cache
 	to.services = append(to.services, st)
-	to.byName[s] = st
+	to.bind(st.id, st)
 	from.topoGen++
 	to.topoGen++
 	from.lastCheckpoint = nil

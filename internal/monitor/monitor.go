@@ -83,6 +83,7 @@ func DefaultHardening() Hardening {
 
 // serviceState tracks a registered microservice.
 type serviceState struct {
+	id   workload.ServiceID
 	spec workload.ServiceSpec
 	info core.ServiceInfo
 	// replicaIDs lists live container IDs in creation order.
@@ -148,8 +149,14 @@ type Monitor struct {
 	nmByID  map[string]*nodemanager.Manager
 	algo    core.Algorithm
 
+	// services lists the registered services in registration order. ids
+	// interns names into dense IDs and byID indexes services by them, nil
+	// where a service is not (or no longer) registered here. A zone arbiter
+	// shares its plane's ids, so IDs are global across zones and byID is
+	// sparse.
 	services []*serviceState
-	byName   map[string]*serviceState
+	ids      map[string]workload.ServiceID
+	byID     []*serviceState
 
 	// held counts services with holdPolls > 0, so the hold machinery costs
 	// nothing when idle (always, outside zone readoptions).
@@ -237,7 +244,7 @@ func New(cl *cluster.Cluster, algo core.Algorithm) *Monitor {
 		cluster:     cl,
 		nmByID:      make(map[string]*nodemanager.Manager),
 		algo:        algo,
-		byName:      make(map[string]*serviceState),
+		ids:         make(map[string]workload.ServiceID),
 		StartDelay:  time.Second,
 		Hardening:   DefaultHardening(),
 		lastReports: make(map[string]*cachedReport),
@@ -302,10 +309,16 @@ func (m *Monitor) AddService(spec workload.ServiceSpec, targetUtil float64) erro
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if _, dup := m.byName[spec.Name]; dup {
+	if m.lookup(spec.Name) != nil {
 		return fmt.Errorf("monitor: duplicate service %q", spec.Name)
 	}
+	id, ok := m.ids[spec.Name]
+	if !ok {
+		id = workload.ServiceID(len(m.ids))
+		m.ids[spec.Name] = id
+	}
 	st := &serviceState{
+		id:   id,
 		spec: spec,
 		info: core.ServiceInfo{
 			Name:          spec.Name,
@@ -321,8 +334,41 @@ func (m *Monitor) AddService(spec workload.ServiceSpec, targetUtil float64) erro
 		},
 	}
 	m.services = append(m.services, st)
-	m.byName[spec.Name] = st
+	m.bind(id, st)
 	return nil
+}
+
+// ServiceID returns the ID interned for a registered service name.
+func (m *Monitor) ServiceID(name string) (workload.ServiceID, bool) {
+	id, ok := m.ids[name]
+	return id, ok
+}
+
+// idOf returns the ID interned for name, or -1.
+func (m *Monitor) idOf(name string) workload.ServiceID {
+	if id, ok := m.ids[name]; ok {
+		return id
+	}
+	return -1
+}
+
+// at returns the service registered here under id, or nil.
+func (m *Monitor) at(id workload.ServiceID) *serviceState {
+	if id < 0 || int(id) >= len(m.byID) {
+		return nil
+	}
+	return m.byID[id]
+}
+
+// lookup returns the service registered here under name, or nil.
+func (m *Monitor) lookup(name string) *serviceState { return m.at(m.idOf(name)) }
+
+// bind registers st under id (nil unregisters), growing byID as needed.
+func (m *Monitor) bind(id workload.ServiceID, st *serviceState) {
+	for int(id) >= len(m.byID) {
+		m.byID = append(m.byID, nil)
+	}
+	m.byID[id] = st
 }
 
 // DeployInitial starts the service's minimum replica count, spreading
@@ -332,8 +378,8 @@ func (m *Monitor) AddService(spec workload.ServiceSpec, targetUtil float64) erro
 // scale-outs pay the container start latency, and only those see injected
 // faults).
 func (m *Monitor) DeployInitial(service string, now time.Duration) error {
-	st, ok := m.byName[service]
-	if !ok {
+	st := m.lookup(service)
+	if st == nil {
 		return fmt.Errorf("monitor: unknown service %q", service)
 	}
 	for len(st.replicaIDs) < st.spec.MinReplicas {
@@ -355,8 +401,8 @@ func (m *Monitor) DeployInitial(service string, now time.Duration) error {
 // with the given allocation — used by experiments that pin placement (the
 // §III microbenchmarks) and by initial deployments.
 func (m *Monitor) StartReplica(service, nodeID string, alloc resources.Vector, now time.Duration) error {
-	st, ok := m.byName[service]
-	if !ok {
+	st := m.lookup(service)
+	if st == nil {
 		return fmt.Errorf("monitor: unknown service %q", service)
 	}
 	return m.startReplica(st, nodeID, alloc, now, 0)
@@ -394,10 +440,16 @@ func (m *Monitor) Replicas(service string) []*container.Container {
 
 // AppendReplicas appends the live replicas of a service, in creation order,
 // to buf and returns the extended slice — the zero-allocation variant of
-// Replicas for per-request routing.
+// Replicas.
 func (m *Monitor) AppendReplicas(buf []*container.Container, service string) []*container.Container {
-	st, ok := m.byName[service]
-	if !ok {
+	return m.AppendReplicasID(buf, m.idOf(service))
+}
+
+// AppendReplicasID is AppendReplicas by service ID, the per-request routing
+// path: a slice index instead of a name lookup.
+func (m *Monitor) AppendReplicasID(buf []*container.Container, id workload.ServiceID) []*container.Container {
+	st := m.at(id)
+	if st == nil {
 		return buf
 	}
 	for _, c := range m.resolvedFor(st) {
@@ -410,9 +462,12 @@ func (m *Monitor) AppendReplicas(buf []*container.Container, service string) []*
 
 // ReplicaCount returns the number of live replicas of a service without
 // materialising the slice.
-func (m *Monitor) ReplicaCount(service string) int {
-	st, ok := m.byName[service]
-	if !ok {
+func (m *Monitor) ReplicaCount(service string) int { return m.ReplicaCountID(m.idOf(service)) }
+
+// ReplicaCountID is ReplicaCount by service ID.
+func (m *Monitor) ReplicaCountID(id workload.ServiceID) int {
+	st := m.at(id)
+	if st == nil {
 		return 0
 	}
 	n := 0
@@ -757,7 +812,7 @@ func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome
 func (m *Monitor) Apply(plan core.Plan, now time.Duration) {
 	for _, a := range plan.Actions {
 		if m.held > 0 {
-			if st := m.byName[m.actionService(a)]; st != nil && st.holdPolls > 0 {
+			if st := m.lookup(m.actionService(a)); st != nil && st.holdPolls > 0 {
 				continue
 			}
 		}
@@ -793,7 +848,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 	a := p.action
 	switch act := a.(type) {
 	case core.VerticalScale:
-		c, _ := m.cluster.FindContainer(act.ContainerID)
+		c, _ := m.findReplica(act.ContainerID)
 		if c == nil || c.State == container.StateRemoved {
 			m.observe(a, now, p.attempts, obs.OutcomeMoot, "")
 			return // target gone; the action is moot, not failed
@@ -814,8 +869,8 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 			m.observe(a, now, p.attempts, obs.OutcomeRejected, "")
 		}
 	case core.ScaleOut:
-		st, ok := m.byName[act.Service]
-		if !ok {
+		st := m.lookup(act.Service)
+		if st == nil {
 			return
 		}
 		// A queued scale-out (retry or reconciler re-placement) may have
@@ -884,7 +939,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 			m.observe(a, now, p.attempts, obs.OutcomeApplied, created)
 		}
 	case core.ScaleIn:
-		_, node := m.cluster.FindContainer(act.ContainerID)
+		_, node := m.findReplica(act.ContainerID)
 		if node == nil {
 			m.observe(a, now, p.attempts, obs.OutcomeMoot, "")
 			return
@@ -962,7 +1017,7 @@ func (m *Monitor) startReplicaWithReady(st *serviceState, nodeID string, alloc r
 }
 
 func (m *Monitor) removeReplica(containerID string) {
-	_, node := m.cluster.FindContainer(containerID)
+	_, node := m.findReplica(containerID)
 	if node == nil {
 		return
 	}

@@ -47,9 +47,15 @@ type ControlPlane interface {
 	MaybeCheckpoint(now time.Duration)
 	Restart(now time.Duration)
 
+	// ServiceID returns the dense ID AddService interned for a service name:
+	// services are numbered 0, 1, 2, … in registration order. The ID-keyed
+	// methods below index slices by it; the name-keyed ones wrap them.
+	ServiceID(name string) (workload.ServiceID, bool)
 	Replicas(service string) []*container.Container
 	AppendReplicas(buf []*container.Container, service string) []*container.Container
+	AppendReplicasID(buf []*container.Container, id workload.ServiceID) []*container.Container
 	ReplicaCount(service string) int
+	ReplicaCountID(id workload.ServiceID) int
 
 	Counts() ActionCounts
 	Recovery() RecoveryCounts
@@ -164,15 +170,20 @@ type Plane struct {
 	cfg    PlaneConfig
 	algo   core.Algorithm
 
-	zones         []*zoneArbiter
-	zoneOfNode    map[string]int
-	zoneOfService map[string]int
+	zones      []*zoneArbiter
+	zoneOfNode map[string]int
+
+	// ids interns service names into dense IDs, shared with every zone
+	// arbiter so a service keeps one ID wherever it lives. homeOf and spills
+	// are indexed by it: homeOf is the zone owning the service, spills lists
+	// the zones holding its spillover shards beyond that (current) home.
+	ids    map[string]workload.ServiceID
+	homeOf []int
+	spills [][]int
 
 	// evacHome remembers an evacuated service's original zone, so it
-	// migrates home when that zone heals; spills lists the zones holding a
-	// service's spillover shards beyond its (current) home.
+	// migrates home when that zone heals.
 	evacHome map[string]int
-	spills   map[string][]int
 
 	cross CrossZoneCounts
 	evac  EvacCounts
@@ -193,13 +204,12 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig) (*Plane
 		k = len(nodes)
 	}
 	p := &Plane{
-		global:        cl,
-		cfg:           cfg,
-		algo:          algo,
-		zoneOfNode:    make(map[string]int, len(nodes)),
-		zoneOfService: make(map[string]int),
-		evacHome:      make(map[string]int),
-		spills:        make(map[string][]int),
+		global:     cl,
+		cfg:        cfg,
+		algo:       algo,
+		zoneOfNode: make(map[string]int, len(nodes)),
+		ids:        make(map[string]workload.ServiceID),
+		evacHome:   make(map[string]int),
 	}
 	for z := 0; z < k; z++ {
 		view, err := cluster.New()
@@ -217,6 +227,7 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig) (*Plane
 			idx: z, name: strconv.Itoa(z), view: view, mon: New(view, algo),
 			healthyAt: -1,
 		}
+		za.mon.ids = p.ids
 		zi := z
 		za.mon.OutOfCapacity = func(alloc resources.Vector) bool {
 			return p.leaseInto(zi, alloc)
@@ -265,8 +276,8 @@ func (p *Plane) ZoneCount() int { return len(p.zones) }
 
 // ZoneOfService returns the zone a service was assigned to, or -1.
 func (p *Plane) ZoneOfService(name string) int {
-	if z, ok := p.zoneOfService[name]; ok {
-		return z
+	if id, ok := p.ids[name]; ok {
+		return p.homeOf[id]
 	}
 	return -1
 }
@@ -302,20 +313,37 @@ func (p *Plane) ZoneSummaries() []ZoneSummary {
 // Evac returns the evacuation / re-adoption counters.
 func (p *Plane) Evac() EvacCounts { return p.evac }
 
+// ServiceID returns the ID interned for a registered service name.
+func (p *Plane) ServiceID(name string) (workload.ServiceID, bool) {
+	id, ok := p.ids[name]
+	return id, ok
+}
+
+// idOf returns the ID interned for name, or -1.
+func (p *Plane) idOf(name string) workload.ServiceID {
+	if id, ok := p.ids[name]; ok {
+		return id
+	}
+	return -1
+}
+
 // home returns the arbiter owning a service, or nil.
-func (p *Plane) home(service string) *zoneArbiter {
-	z, ok := p.zoneOfService[service]
-	if !ok {
+func (p *Plane) home(service string) *zoneArbiter { return p.homeByID(p.idOf(service)) }
+
+// homeByID returns the arbiter owning the service with that ID, or nil.
+func (p *Plane) homeByID(id workload.ServiceID) *zoneArbiter {
+	if id < 0 || int(id) >= len(p.homeOf) {
 		return nil
 	}
-	return p.zones[z]
+	return p.zones[p.homeOf[id]]
 }
 
 // AddService assigns the service to the zone with the fewest services
 // (lowest index on ties — round-robin for uniform registration) and
-// registers it with that zone's arbiter.
+// registers it with that zone's arbiter, which interns its ID in the shared
+// table.
 func (p *Plane) AddService(spec workload.ServiceSpec, targetUtil float64) error {
-	if _, dup := p.zoneOfService[spec.Name]; dup {
+	if _, dup := p.ids[spec.Name]; dup {
 		return fmt.Errorf("monitor: duplicate service %q", spec.Name)
 	}
 	best := 0
@@ -329,7 +357,8 @@ func (p *Plane) AddService(spec workload.ServiceSpec, targetUtil float64) error 
 		return err
 	}
 	za.services = append(za.services, spec.Name)
-	p.zoneOfService[spec.Name] = best
+	p.homeOf = append(p.homeOf, best)
+	p.spills = append(p.spills, nil)
 	return nil
 }
 
@@ -512,29 +541,37 @@ func (p *Plane) Replicas(service string) []*container.Container {
 }
 
 // AppendReplicas appends a service's live replicas from its home arbiter,
-// followed by any spillover shards in zone order.
+// followed by any spillover shards in the order they were spilled.
 func (p *Plane) AppendReplicas(buf []*container.Container, service string) []*container.Container {
-	za := p.home(service)
+	return p.AppendReplicasID(buf, p.idOf(service))
+}
+
+// AppendReplicasID is AppendReplicas by service ID.
+func (p *Plane) AppendReplicasID(buf []*container.Container, id workload.ServiceID) []*container.Container {
+	za := p.homeByID(id)
 	if za == nil {
 		return buf
 	}
-	buf = za.mon.AppendReplicas(buf, service)
-	for _, zi := range p.spills[service] {
-		buf = p.zones[zi].mon.AppendReplicas(buf, service)
+	buf = za.mon.AppendReplicasID(buf, id)
+	for _, zi := range p.spills[id] {
+		buf = p.zones[zi].mon.AppendReplicasID(buf, id)
 	}
 	return buf
 }
 
 // ReplicaCount returns a service's live replica count across its home
 // arbiter and any spillover shards.
-func (p *Plane) ReplicaCount(service string) int {
-	za := p.home(service)
+func (p *Plane) ReplicaCount(service string) int { return p.ReplicaCountID(p.idOf(service)) }
+
+// ReplicaCountID is ReplicaCount by service ID.
+func (p *Plane) ReplicaCountID(id workload.ServiceID) int {
+	za := p.homeByID(id)
 	if za == nil {
 		return 0
 	}
-	n := za.mon.ReplicaCount(service)
-	for _, zi := range p.spills[service] {
-		n += p.zones[zi].mon.ReplicaCount(service)
+	n := za.mon.ReplicaCountID(id)
+	for _, zi := range p.spills[id] {
+		n += p.zones[zi].mon.ReplicaCountID(id)
 	}
 	return n
 }

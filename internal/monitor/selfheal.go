@@ -378,7 +378,7 @@ func (m *Monitor) reconcileRecovery(nodeID string, now time.Duration) {
 			m.recovery.StaleDrained++
 			m.event(now, obs.EventStaleDrained, nodeID, l.service, l.id, "")
 		default:
-			if st, ok := m.byName[l.service]; ok {
+			if st := m.lookup(l.service); st != nil {
 				st.replicaIDs = append(st.replicaIDs, l.id)
 				m.replicaHome[l.id] = nodeID
 				m.recovery.Readopted++

@@ -43,10 +43,13 @@ type Report struct {
 type Manager struct {
 	node *cluster.Node
 
-	// samples accumulates per-container usage sums and counts between
-	// reports.
-	sums   map[string]resources.Vector
-	counts map[string]int
+	// windows accumulates each hosted container's usage samples between
+	// reports, indexed like node.Containers() as of node version windowsVer.
+	// A version change re-keys them by container ID (see sync); spare is the
+	// previous backing array, recycled by the next re-key.
+	windows    []window
+	spare      []window
+	windowsVer uint64
 
 	// containers is the reusable backing array for Report's stats slice —
 	// cleared, not reallocated, each report, so steady-state polls allocate
@@ -57,28 +60,61 @@ type Manager struct {
 	missedQueries uint64
 }
 
-// New attaches a manager to its node.
+// window is one container's usage sum and sample count since the last
+// report.
+type window struct {
+	id  string
+	sum resources.Vector
+	n   int
+}
+
+// New attaches a manager to its node. Its windows start empty, whatever
+// another manager of the same node has sampled.
 func New(node *cluster.Node) *Manager {
-	return &Manager{
-		node:   node,
-		sums:   make(map[string]resources.Vector),
-		counts: make(map[string]int),
-	}
+	return &Manager{node: node}
 }
 
 // NodeID returns the managed node's ID.
 func (m *Manager) NodeID() string { return m.node.ID() }
 
+// sync returns the windows aligned with node.Containers(). When containers
+// were placed or removed since the last call, each surviving container keeps
+// its window (matched by ID) and new ones start empty; otherwise this is a
+// version check.
+func (m *Manager) sync() []window {
+	v := m.node.Version()
+	if v == m.windowsVer {
+		return m.windows
+	}
+	old, next := m.windows, m.spare[:0]
+	j := 0 // containers keep their relative order, so the match is usually at j
+	for _, c := range m.node.Containers() {
+		w := window{id: c.ID}
+		for k := range old {
+			if i := (j + k) % len(old); old[i].id == c.ID {
+				w, j = old[i], i+1
+				break
+			}
+		}
+		next = append(next, w)
+	}
+	clear(old)
+	m.windows, m.spare, m.windowsVer = next, old[:0], v
+	return next
+}
+
 // Sample records each hosted container's latest usage (what one `docker
 // stats` poll would observe). Call once per physics tick.
 func (m *Manager) Sample() {
-	for _, c := range m.node.Containers() {
+	ws := m.sync()
+	for i, c := range m.node.Containers() {
 		if c.State != container.StateRunning {
 			continue
 		}
 		u := c.LastUsage()
-		m.sums[c.ID] = m.sums[c.ID].Add(resources.Vector{CPU: u.CPU, MemMB: u.MemMB, NetMbps: u.NetMbps})
-		m.counts[c.ID]++
+		w := &ws[i]
+		w.sum = w.sum.Add(resources.Vector{CPU: u.CPU, MemMB: u.MemMB, NetMbps: u.NetMbps})
+		w.n++
 	}
 }
 
@@ -95,11 +131,13 @@ func (m *Manager) Report() Report {
 		Capacity:  m.node.Capacity(),
 		Available: m.node.Available(),
 	}
+	ws := m.sync()
 	m.containers = m.containers[:0]
-	for _, c := range m.node.Containers() {
+	for i, c := range m.node.Containers() {
 		var usage resources.Vector
-		if n := m.counts[c.ID]; n > 0 {
-			usage = m.sums[c.ID].Scale(1 / float64(n))
+		if w := &ws[i]; w.n > 0 {
+			usage = w.sum.Scale(1 / float64(w.n))
+			w.sum, w.n = resources.Vector{}, 0
 		}
 		m.containers = append(m.containers, ContainerStats{
 			ID:        c.ID,
@@ -111,8 +149,6 @@ func (m *Manager) Report() Report {
 		})
 	}
 	rep.Containers = m.containers
-	clear(m.sums)
-	clear(m.counts)
 	return rep
 }
 

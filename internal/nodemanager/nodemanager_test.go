@@ -201,3 +201,21 @@ func TestStatsWindowSemantics(t *testing.T) {
 		t.Errorf("original manager window = %v, want CPU 2", u)
 	}
 }
+
+// TestSampleAllocFree pins the per-tick sampling path to zero allocations
+// once the windows are sized.
+func TestSampleAllocFree(t *testing.T) {
+	n, nm, c := setup(t)
+	for i := 1; i < 4; i++ {
+		extra := container.New("c-"+string(rune('0'+i)), spec(), "node-0", resources.Vector{CPU: 0.5, MemMB: 256}, 0)
+		extra.MaybeStart(0)
+		if err := n.AddContainer(extra); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetLastUsage(container.Usage{CPU: 1, MemMB: 100})
+	nm.Sample() // size the windows
+	if allocs := testing.AllocsPerRun(100, nm.Sample); allocs != 0 {
+		t.Errorf("Sample allocates %.1f objects/call, want 0", allocs)
+	}
+}

@@ -176,7 +176,7 @@ func (g *graphRun) admit(n *reqNode) {
 	req.ExtraLatency += w.cfg.BaseLatency
 	now := w.engine.Now()
 
-	w.replicaBuf = w.ctl.AppendReplicas(w.replicaBuf[:0], req.Service)
+	w.replicaBuf = w.ctl.AppendReplicasID(w.replicaBuf[:0], req.ServiceID)
 	target, err := w.lb.RouteAt(now, req, w.replicaBuf)
 	if err != nil {
 		g.dropEdge(n)
@@ -274,7 +274,8 @@ func (g *graphRun) issueCall(p *reqNode, e workload.CallEdge, slot, attempt int)
 	es.Issued++
 	g.res.RecordAttempt(p.req.Service, attempt)
 
-	req := workload.NewRequest(g.w.ids.Next(), rt.spec, now)
+	req := g.w.ids.NewRequest(rt.spec, now)
+	req.ServiceID = rt.id
 	req.Deadline = deadline
 	req.Edge = key
 	req.ParentID = p.req.ID
@@ -300,10 +301,10 @@ func (g *graphRun) finish(n *reqNode, o outcome, at time.Duration, class workloa
 		if lat < 0 {
 			lat = 0
 		}
-		w.recorder.RecordCompletion(n.req.Service, lat)
+		w.recorder.RecordCompletionID(n.req.ServiceID, lat)
 		w.costs.ObserveCompletion(lat)
 	} else {
-		w.recorder.RecordFailure(n.req.Service, class)
+		w.recorder.RecordFailureID(n.req.ServiceID, class)
 		w.costs.ObserveFailure()
 	}
 
@@ -418,7 +419,7 @@ func (g *graphRun) onRemoval(r *workload.Request) {
 	n, ok := g.nodes[r.ID]
 	if !ok {
 		// Untracked (already resolved); keep the legacy accounting.
-		g.w.recorder.RecordFailure(r.Service, workload.FailureRemoval)
+		g.w.recorder.RecordFailureID(r.ServiceID, workload.FailureRemoval)
 		g.w.costs.ObserveFailure()
 		return
 	}

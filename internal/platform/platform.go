@@ -125,10 +125,13 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// serviceRuntime couples a service with its load generator.
+// serviceRuntime couples a service with its interned ID, its load generator
+// and its replica-count series.
 type serviceRuntime struct {
-	spec workload.ServiceSpec
-	gen  *loadgen.Generator
+	spec     workload.ServiceSpec
+	id       workload.ServiceID
+	gen      *loadgen.Generator
+	replicas *metrics.TimeSeries
 }
 
 // ConnFailureBreakdown attributes connection failures recorded at routing
@@ -161,9 +164,15 @@ type World struct {
 	// recommendations) can be surfaced without re-plumbing the monitor.
 	algo core.Algorithm
 
+	// services is indexed by workload.ServiceID: AddService interns each
+	// name once, in registration order, and the control plane and recorder
+	// number their services the same way. Requests carry the ID, so routing
+	// and recording index slices instead of hashing names. byName serves the
+	// name-keyed edges (injection, call-graph edges).
 	services []*serviceRuntime
 	byName   map[string]*serviceRuntime
-	ids      loadgen.IDAllocator
+	// ids numbers requests and carves them from fixed-size chunks.
+	ids loadgen.IDAllocator
 
 	recorder *metrics.Recorder
 	costs    *cost.Tracker
@@ -279,7 +288,7 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 			w.graph.onRemoval(r)
 			return
 		}
-		w.recorder.RecordFailure(r.Service, workload.FailureRemoval)
+		w.recorder.RecordFailureID(r.ServiceID, workload.FailureRemoval)
 		w.costs.ObserveFailure()
 	}
 	for _, m := range w.arbiters() {
@@ -439,14 +448,21 @@ func (w *World) AddService(spec workload.ServiceSpec, targetUtil float64, patter
 	if err := w.ctl.AddService(spec, targetUtil); err != nil {
 		return err
 	}
-	rt := &serviceRuntime{spec: spec}
+	id := workload.ServiceID(len(w.services))
+	if cid, _ := w.ctl.ServiceID(spec.Name); cid != id || w.recorder.Intern(spec.Name) != id {
+		// The recorder interned names before registration (a caller recorded
+		// through Recorder directly), so the ID spaces disagree.
+		return fmt.Errorf("platform: service %q: control plane and recorder IDs out of registration order", spec.Name)
+	}
+	rt := &serviceRuntime{spec: spec, id: id, replicas: &metrics.TimeSeries{Name: spec.Name + "-replicas"}}
 	if pattern != nil {
 		rt.gen = loadgen.NewGenerator(spec, pattern, &w.ids)
 		rt.gen.Poisson = w.cfg.PoissonArrivals
+		rt.gen.ServiceID = id
 	}
 	w.services = append(w.services, rt)
 	w.byName[spec.Name] = rt
-	w.ReplicaSeries[spec.Name] = &metrics.TimeSeries{Name: spec.Name + "-replicas"}
+	w.ReplicaSeries[spec.Name] = rt.replicas
 	if err := w.ctl.DeployInitial(spec.Name, w.engine.Now()); err != nil {
 		return err
 	}
@@ -504,7 +520,8 @@ func (w *World) InjectRequests(at time.Duration, window time.Duration, service s
 	reqs := make([]*workload.Request, n)
 	for i := range reqs {
 		arrive := at + time.Duration(float64(window)*float64(i)/float64(n))
-		reqs[i] = workload.NewRequest(w.ids.Next(), rt.spec, arrive)
+		reqs[i] = w.ids.NewRequest(rt.spec, arrive)
+		reqs[i].ServiceID = rt.id
 	}
 	fire := func(e *sim.Engine, i int) { w.route(reqs[i]) }
 	for i := 0; i < n; {
@@ -529,7 +546,7 @@ func (w *World) route(req *workload.Request) {
 	}
 	req.ExtraLatency += w.cfg.BaseLatency
 	now := w.engine.Now()
-	w.replicaBuf = w.ctl.AppendReplicas(w.replicaBuf[:0], req.Service)
+	w.replicaBuf = w.ctl.AppendReplicasID(w.replicaBuf[:0], req.ServiceID)
 	target, err := w.lb.RouteAt(now, req, w.replicaBuf)
 	if err != nil {
 		if errors.Is(err, lb.ErrAllStarting) {
@@ -537,7 +554,7 @@ func (w *World) route(req *workload.Request) {
 		} else {
 			w.connFail.Absent++
 		}
-		w.recorder.RecordFailure(req.Service, workload.FailureConnection)
+		w.recorder.RecordFailureID(req.ServiceID, workload.FailureConnection)
 		w.costs.ObserveFailure()
 		return
 	}
@@ -545,7 +562,7 @@ func (w *World) route(req *workload.Request) {
 		// The chosen backend is black-holing connections — an outage the
 		// balancer's probes have not (or, unhardened, will never) notice.
 		w.connFail.Unhealthy++
-		w.recorder.RecordFailure(req.Service, workload.FailureConnection)
+		w.recorder.RecordFailureID(req.ServiceID, workload.FailureConnection)
 		w.costs.ObserveFailure()
 		return
 	}
@@ -577,11 +594,11 @@ func (w *World) tick(e *sim.Engine) {
 			if latency < 0 {
 				latency = 0
 			}
-			w.recorder.RecordCompletion(r.Service, latency)
+			w.recorder.RecordCompletionID(r.ServiceID, latency)
 			w.costs.ObserveCompletion(latency)
 		}
 		for _, r := range res.TimedOut {
-			w.recorder.RecordFailure(r.Service, workload.FailureConnection)
+			w.recorder.RecordFailureID(r.ServiceID, workload.FailureConnection)
 			w.costs.ObserveFailure()
 		}
 	}
@@ -629,8 +646,8 @@ func (w *World) poll(e *sim.Engine) {
 	if capCPU > 0 {
 		w.UtilSeries.Append(now, usedCPU/capCPU)
 	}
-	for name, ts := range w.ReplicaSeries {
-		ts.Append(now, float64(w.ctl.ReplicaCount(name)))
+	for _, rt := range w.services {
+		rt.replicas.Append(now, float64(w.ctl.ReplicaCountID(rt.id)))
 	}
 
 	if w.journal != nil {
@@ -638,7 +655,7 @@ func (w *World) poll(e *sim.Engine) {
 		// artifact bytes are deterministic.
 		for _, rt := range w.services {
 			name := rt.spec.Name
-			w.replicaBuf = w.ctl.AppendReplicas(w.replicaBuf[:0], name)
+			w.replicaBuf = w.ctl.AppendReplicasID(w.replicaBuf[:0], rt.id)
 			replicas := w.replicaBuf
 			var cpuShares, cpuUsage, netMbps float64
 			for _, c := range replicas {
@@ -778,7 +795,7 @@ func (w *World) ScheduleNodeFailure(at time.Duration, nodeID string) error {
 			w.ctl.DetachNode(nodeID)
 		}
 		for _, r := range killed {
-			w.recorder.RecordFailure(r.Service, workload.FailureRemoval)
+			w.recorder.RecordFailureID(r.ServiceID, workload.FailureRemoval)
 			w.costs.ObserveFailure()
 		}
 	})

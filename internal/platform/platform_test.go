@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hyscale/internal/container"
 	"hyscale/internal/core"
 	"hyscale/internal/loadgen"
 	"hyscale/internal/resources"
@@ -274,5 +275,59 @@ func TestBaseLatencyCharged(t *testing.T) {
 	}
 	if got := w.Summary().MeanLatency; got < 100*time.Millisecond {
 		t.Errorf("mean = %v, want >= the 100ms base latency", got)
+	}
+}
+
+// TestRouteByServiceID checks that services are numbered in registration
+// order and that a request is routed by the ID it carries, and pins
+// World.route to zero allocations for an already-created request.
+func TestRouteByServiceID(t *testing.T) {
+	w, err := New(smallConfig(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if err := w.AddService(cpuSpec(name), 0.5, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, name := range []string{"a", "b", "c"} {
+		if id, ok := w.Control().ServiceID(name); !ok || id != workload.ServiceID(i) {
+			t.Errorf("ServiceID(%s) = %d, %v; want %d", name, id, ok, i)
+		}
+	}
+	req := w.ids.NewRequest(cpuSpec("b"), 0)
+	req.ServiceID = 1
+	var replicas []*container.Container
+	route := func() {
+		w.route(req)
+		replicas = w.Control().AppendReplicas(replicas[:0], "b")
+		for _, c := range replicas {
+			if c.Release(req, false) {
+				return
+			}
+		}
+		t.Fatal("request for service b was not routed to a replica of b")
+	}
+	route() // size the replica buffer
+	if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
+		t.Errorf("World.route allocates %.1f objects/request, want 0", allocs)
+	}
+	if s := w.Summary(); s.Requests != 0 {
+		t.Errorf("routing recorded %d outcomes, want 0", s.Requests)
+	}
+}
+
+// TestAddServiceRejectsMisalignedRecorder checks that a recorder which
+// interned a name before registration is reported instead of silently
+// recording under the wrong service.
+func TestAddServiceRejectsMisalignedRecorder(t *testing.T) {
+	w, err := New(smallConfig(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Recorder().RecordFailure("stray", workload.FailureConnection)
+	if err := w.AddService(cpuSpec("a"), 0.5, nil); err == nil {
+		t.Error("AddService accepted a recorder whose IDs disagree with the control plane")
 	}
 }

@@ -205,6 +205,12 @@ const (
 	PhaseDone
 )
 
+// ServiceID is a service's dense index: the platform interns each service
+// name once, at registration, and numbers services 0, 1, 2, … in
+// registration order. Hot paths index slices by it instead of hashing the
+// name; names survive at the edges (JSON, journal, HTTP and tables).
+type ServiceID int32
+
 // Request is one in-flight client request. Requests are created by the load
 // generator, routed by a load balancer to a container, and advanced by the
 // cluster physics every tick.
@@ -213,6 +219,9 @@ type Request struct {
 	ID uint64
 	// Service is the target microservice name.
 	Service string
+	// ServiceID is the target's dense index in the world that created the
+	// request (see ServiceID); zero for requests built outside a world.
+	ServiceID ServiceID
 	// Arrival is the simulated time the request reached the load balancer.
 	Arrival time.Duration
 	// Deadline is Arrival + the service timeout.
@@ -251,7 +260,16 @@ type Request struct {
 
 // NewRequest builds a request for spec arriving at the given simulated time.
 func NewRequest(id uint64, spec ServiceSpec, arrival time.Duration) *Request {
-	return &Request{
+	r := new(Request)
+	r.Init(id, spec, arrival)
+	return r
+}
+
+// Init overwrites r with a fresh request for spec arriving at the given
+// simulated time, as NewRequest builds it; slab allocators use it to fill
+// preallocated storage.
+func (r *Request) Init(id uint64, spec ServiceSpec, arrival time.Duration) {
+	*r = Request{
 		ID:             id,
 		Service:        spec.Name,
 		Arrival:        arrival,
