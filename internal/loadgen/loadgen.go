@@ -109,7 +109,7 @@ func (a *IDAllocator) Next() uint64 {
 
 // NewRequest returns a fresh request for spec arriving at the given
 // simulated time, with the next ID, carved from the current chunk.
-func (a *IDAllocator) NewRequest(spec workload.ServiceSpec, arrival time.Duration) *workload.Request {
+func (a *IDAllocator) NewRequest(spec *workload.ServiceSpec, arrival time.Duration) *workload.Request {
 	if len(a.slab) == 0 {
 		a.slab = make([]workload.Request, requestChunk)
 	}
@@ -153,9 +153,8 @@ func NewGenerator(spec workload.ServiceSpec, p Pattern, ids *IDAllocator) *Gener
 // The returned slice is a reused scratch buffer, valid until the next
 // Arrivals call on this generator — consume (route) it immediately.
 func (g *Generator) Arrivals(now, dt time.Duration, rng *rand.Rand) []*workload.Request {
-	clear(g.buf)
-	g.buf = g.buf[:0]
 	if dt <= 0 {
+		g.buf = reuse(g.buf, 0)
 		return nil
 	}
 	rate := g.Pattern.Rate(now)
@@ -170,15 +169,27 @@ func (g *Generator) Arrivals(now, dt time.Duration, rng *rand.Rand) []*workload.
 		g.acc -= float64(n)
 	}
 	if n <= 0 {
+		g.buf = reuse(g.buf, 0)
 		return nil
 	}
+	g.buf = reuse(g.buf, n)
 	for i := 0; i < n; i++ {
 		at := now + time.Duration(float64(dt)*(float64(i)+0.5)/float64(n))
-		r := g.ids.NewRequest(g.Spec, at)
+		r := g.ids.NewRequest(&g.Spec, at)
 		r.ServiceID = g.ServiceID
 		g.buf = append(g.buf, r)
 	}
 	return g.buf
+}
+
+// reuse empties buf for n new entries. It clears the stale tail that the n
+// appends will not overwrite: a stale pointer would keep a finished request,
+// and with it the request's whole chunk, reachable.
+func reuse(buf []*workload.Request, n int) []*workload.Request {
+	if len(buf) > n {
+		clear(buf[n:])
+	}
+	return buf[:0]
 }
 
 // poisson draws a Poisson-distributed integer with mean lambda using

@@ -215,9 +215,10 @@ func TestZeroAndNegativeWindows(t *testing.T) {
 // chunk boundary.
 func TestSlabRequests(t *testing.T) {
 	var ids IDAllocator
+	sp := spec()
 	seen := make(map[*workload.Request]bool)
 	for i := 1; i <= 2*requestChunk+1; i++ {
-		r := ids.NewRequest(spec(), time.Duration(i))
+		r := ids.NewRequest(&sp, time.Duration(i))
 		want := workload.NewRequest(uint64(i), spec(), time.Duration(i))
 		if *r != *want {
 			t.Fatalf("request %d = %+v, want %+v", i, *r, *want)

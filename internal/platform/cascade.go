@@ -274,7 +274,7 @@ func (g *graphRun) issueCall(p *reqNode, e workload.CallEdge, slot, attempt int)
 	es.Issued++
 	g.res.RecordAttempt(p.req.Service, attempt)
 
-	req := g.w.ids.NewRequest(rt.spec, now)
+	req := g.w.ids.NewRequest(&rt.spec, now)
 	req.ServiceID = rt.id
 	req.Deadline = deadline
 	req.Edge = key

@@ -520,7 +520,7 @@ func (w *World) InjectRequests(at time.Duration, window time.Duration, service s
 	reqs := make([]*workload.Request, n)
 	for i := range reqs {
 		arrive := at + time.Duration(float64(window)*float64(i)/float64(n))
-		reqs[i] = w.ids.NewRequest(rt.spec, arrive)
+		reqs[i] = w.ids.NewRequest(&rt.spec, arrive)
 		reqs[i].ServiceID = rt.id
 	}
 	fire := func(e *sim.Engine, i int) { w.route(reqs[i]) }

@@ -296,7 +296,8 @@ func TestRouteByServiceID(t *testing.T) {
 			t.Errorf("ServiceID(%s) = %d, %v; want %d", name, id, ok, i)
 		}
 	}
-	req := w.ids.NewRequest(cpuSpec("b"), 0)
+	b := cpuSpec("b")
+	req := w.ids.NewRequest(&b, 0)
 	req.ServiceID = 1
 	var replicas []*container.Container
 	route := func() {

@@ -20,12 +20,14 @@ import (
 type Histogram struct {
 	min    time.Duration
 	growth float64
-	counts []uint64
-	under  uint64 // samples below min
-	over   uint64 // samples beyond the last bucket
-	total  uint64
-	sum    time.Duration
-	max    time.Duration
+	// logGrowth caches math.Log(growth), the divisor of every bucket index.
+	logGrowth float64
+	counts    []uint64
+	under     uint64 // samples below min
+	over      uint64 // samples beyond the last bucket
+	total     uint64
+	sum       time.Duration
+	max       time.Duration
 }
 
 // NewHistogram builds a histogram covering [min, max] with the given
@@ -39,8 +41,9 @@ func NewHistogram(min, max time.Duration, growth float64) (*Histogram, error) {
 	case growth <= 1:
 		return nil, fmt.Errorf("stats: growth must be > 1, got %v", growth)
 	}
-	n := int(math.Ceil(math.Log(float64(max)/float64(min))/math.Log(growth))) + 1
-	return &Histogram{min: min, growth: growth, counts: make([]uint64, n)}, nil
+	logGrowth := math.Log(growth)
+	n := int(math.Ceil(math.Log(float64(max)/float64(min))/logGrowth)) + 1
+	return &Histogram{min: min, growth: growth, logGrowth: logGrowth, counts: make([]uint64, n)}, nil
 }
 
 // DefaultLatencyHistogram covers 1 ms .. 10 min at ≤10 % error — right for
@@ -64,7 +67,7 @@ func (h *Histogram) Observe(d time.Duration) {
 		h.under++
 		return
 	}
-	i := int(math.Log(float64(d)/float64(h.min)) / math.Log(h.growth))
+	i := int(math.Log(float64(d)/float64(h.min)) / h.logGrowth)
 	if i >= len(h.counts) {
 		h.over++
 		return

@@ -261,24 +261,22 @@ type Request struct {
 // NewRequest builds a request for spec arriving at the given simulated time.
 func NewRequest(id uint64, spec ServiceSpec, arrival time.Duration) *Request {
 	r := new(Request)
-	r.Init(id, spec, arrival)
+	r.Init(id, &spec, arrival)
 	return r
 }
 
-// Init overwrites r with a fresh request for spec arriving at the given
-// simulated time, as NewRequest builds it; slab allocators use it to fill
-// preallocated storage.
-func (r *Request) Init(id uint64, spec ServiceSpec, arrival time.Duration) {
-	*r = Request{
-		ID:             id,
-		Service:        spec.Name,
-		Arrival:        arrival,
-		Deadline:       arrival + spec.Timeout,
-		Phase:          PhaseCPU,
-		RemainingCPU:   spec.TotalCPUWork(),
-		RemainingNetMb: spec.NetPerRequest,
-		MemFootprintMB: spec.MemPerRequest,
-	}
+// Init fills r, which must be the zero Request, as NewRequest builds it.
+// Slab allocators use it on fresh storage; it stores field by field and
+// takes spec by pointer, so a request costs no struct copies.
+func (r *Request) Init(id uint64, spec *ServiceSpec, arrival time.Duration) {
+	r.ID = id
+	r.Service = spec.Name
+	r.Arrival = arrival
+	r.Deadline = arrival + spec.Timeout
+	r.Phase = PhaseCPU
+	r.RemainingCPU = spec.TotalCPUWork()
+	r.RemainingNetMb = spec.NetPerRequest
+	r.MemFootprintMB = spec.MemPerRequest
 }
 
 // Finished reports whether both processing stages are complete.
