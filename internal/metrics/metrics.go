@@ -300,7 +300,10 @@ func (r *Recorder) rankValue(k int) time.Duration {
 		mid := lo + time.Duration(uint64(hi-lo)/2)
 		count := 0
 		for _, s := range r.order {
-			count += upperBound(s.latencies, mid)
+			// Samples ≤ mid sit before the insertion point of mid+1, which
+			// cannot overflow: mid < hi.
+			n, _ := slices.BinarySearch(s.latencies, mid+1)
+			count += n
 		}
 		if count > k {
 			hi = mid
@@ -309,20 +312,6 @@ func (r *Recorder) rankValue(k int) time.Duration {
 		}
 	}
 	return lo
-}
-
-// upperBound returns how many elements of the ascending slice are ≤ v.
-func upperBound(sorted []time.Duration, v time.Duration) int {
-	i, j := 0, len(sorted)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if sorted[h] <= v {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
 }
 
 // SummarizeService aggregates a single service, returning a zero Summary for

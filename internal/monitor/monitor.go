@@ -155,7 +155,7 @@ type Monitor struct {
 	// shares its plane's ids, so IDs are global across zones and byID is
 	// sparse.
 	services []*serviceState
-	ids      map[string]workload.ServiceID
+	ids      serviceIDs
 	byID     []*serviceState
 
 	// held counts services with holdPolls > 0, so the hold machinery costs
@@ -244,7 +244,7 @@ func New(cl *cluster.Cluster, algo core.Algorithm) *Monitor {
 		cluster:     cl,
 		nmByID:      make(map[string]*nodemanager.Manager),
 		algo:        algo,
-		ids:         make(map[string]workload.ServiceID),
+		ids:         make(serviceIDs),
 		StartDelay:  time.Second,
 		Hardening:   DefaultHardening(),
 		lastReports: make(map[string]*cachedReport),
@@ -344,9 +344,13 @@ func (m *Monitor) ServiceID(name string) (workload.ServiceID, bool) {
 	return id, ok
 }
 
-// idOf returns the ID interned for name, or -1.
-func (m *Monitor) idOf(name string) workload.ServiceID {
-	if id, ok := m.ids[name]; ok {
+// serviceIDs interns service names into dense IDs, numbered in
+// registration order.
+type serviceIDs map[string]workload.ServiceID
+
+// of returns the ID interned for name, or -1.
+func (s serviceIDs) of(name string) workload.ServiceID {
+	if id, ok := s[name]; ok {
 		return id
 	}
 	return -1
@@ -361,7 +365,7 @@ func (m *Monitor) at(id workload.ServiceID) *serviceState {
 }
 
 // lookup returns the service registered here under name, or nil.
-func (m *Monitor) lookup(name string) *serviceState { return m.at(m.idOf(name)) }
+func (m *Monitor) lookup(name string) *serviceState { return m.at(m.ids.of(name)) }
 
 // bind registers st under id (nil unregisters), growing byID as needed.
 func (m *Monitor) bind(id workload.ServiceID, st *serviceState) {
@@ -442,7 +446,7 @@ func (m *Monitor) Replicas(service string) []*container.Container {
 // to buf and returns the extended slice — the zero-allocation variant of
 // Replicas.
 func (m *Monitor) AppendReplicas(buf []*container.Container, service string) []*container.Container {
-	return m.AppendReplicasID(buf, m.idOf(service))
+	return m.AppendReplicasID(buf, m.ids.of(service))
 }
 
 // AppendReplicasID is AppendReplicas by service ID, the per-request routing
@@ -462,7 +466,7 @@ func (m *Monitor) AppendReplicasID(buf []*container.Container, id workload.Servi
 
 // ReplicaCount returns the number of live replicas of a service without
 // materialising the slice.
-func (m *Monitor) ReplicaCount(service string) int { return m.ReplicaCountID(m.idOf(service)) }
+func (m *Monitor) ReplicaCount(service string) int { return m.ReplicaCountID(m.ids.of(service)) }
 
 // ReplicaCountID is ReplicaCount by service ID.
 func (m *Monitor) ReplicaCountID(id workload.ServiceID) int {

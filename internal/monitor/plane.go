@@ -177,7 +177,7 @@ type Plane struct {
 	// arbiter so a service keeps one ID wherever it lives. homeOf and spills
 	// are indexed by it: homeOf is the zone owning the service, spills lists
 	// the zones holding its spillover shards beyond that (current) home.
-	ids    map[string]workload.ServiceID
+	ids    serviceIDs
 	homeOf []int
 	spills [][]int
 
@@ -208,7 +208,7 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig) (*Plane
 		cfg:        cfg,
 		algo:       algo,
 		zoneOfNode: make(map[string]int, len(nodes)),
-		ids:        make(map[string]workload.ServiceID),
+		ids:        make(serviceIDs),
 		evacHome:   make(map[string]int),
 	}
 	for z := 0; z < k; z++ {
@@ -319,16 +319,8 @@ func (p *Plane) ServiceID(name string) (workload.ServiceID, bool) {
 	return id, ok
 }
 
-// idOf returns the ID interned for name, or -1.
-func (p *Plane) idOf(name string) workload.ServiceID {
-	if id, ok := p.ids[name]; ok {
-		return id
-	}
-	return -1
-}
-
 // home returns the arbiter owning a service, or nil.
-func (p *Plane) home(service string) *zoneArbiter { return p.homeByID(p.idOf(service)) }
+func (p *Plane) home(service string) *zoneArbiter { return p.homeByID(p.ids.of(service)) }
 
 // homeByID returns the arbiter owning the service with that ID, or nil.
 func (p *Plane) homeByID(id workload.ServiceID) *zoneArbiter {
@@ -543,7 +535,7 @@ func (p *Plane) Replicas(service string) []*container.Container {
 // AppendReplicas appends a service's live replicas from its home arbiter,
 // followed by any spillover shards in the order they were spilled.
 func (p *Plane) AppendReplicas(buf []*container.Container, service string) []*container.Container {
-	return p.AppendReplicasID(buf, p.idOf(service))
+	return p.AppendReplicasID(buf, p.ids.of(service))
 }
 
 // AppendReplicasID is AppendReplicas by service ID.
@@ -561,7 +553,7 @@ func (p *Plane) AppendReplicasID(buf []*container.Container, id workload.Service
 
 // ReplicaCount returns a service's live replica count across its home
 // arbiter and any spillover shards.
-func (p *Plane) ReplicaCount(service string) int { return p.ReplicaCountID(p.idOf(service)) }
+func (p *Plane) ReplicaCount(service string) int { return p.ReplicaCountID(p.ids.of(service)) }
 
 // ReplicaCountID is ReplicaCount by service ID.
 func (p *Plane) ReplicaCountID(id workload.ServiceID) int {

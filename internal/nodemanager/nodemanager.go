@@ -45,10 +45,8 @@ type Manager struct {
 
 	// windows accumulates each hosted container's usage samples between
 	// reports, indexed like node.Containers() as of node version windowsVer.
-	// A version change re-keys them by container ID (see sync); spare is the
-	// previous backing array, recycled by the next re-key.
+	// A version change re-keys them by container ID (see sync).
 	windows    []window
-	spare      []window
 	windowsVer uint64
 
 	// containers is the reusable backing array for Report's stats slice —
@@ -80,26 +78,26 @@ func (m *Manager) NodeID() string { return m.node.ID() }
 // sync returns the windows aligned with node.Containers(). When containers
 // were placed or removed since the last call, each surviving container keeps
 // its window (matched by ID) and new ones start empty; otherwise this is a
-// version check.
+// version check. A node appends placed containers and keeps the survivors'
+// order on removal, so survivors are matched in one forward scan.
 func (m *Manager) sync() []window {
 	v := m.node.Version()
 	if v == m.windowsVer {
 		return m.windows
 	}
-	old, next := m.windows, m.spare[:0]
-	j := 0 // containers keep their relative order, so the match is usually at j
-	for _, c := range m.node.Containers() {
-		w := window{id: c.ID}
-		for k := range old {
-			if i := (j + k) % len(old); old[i].id == c.ID {
-				w, j = old[i], i+1
+	cs := m.node.Containers()
+	next := make([]window, len(cs))
+	j := 0
+	for k, c := range cs {
+		next[k].id = c.ID
+		for i := j; i < len(m.windows); i++ {
+			if m.windows[i].id == c.ID {
+				next[k], j = m.windows[i], i+1
 				break
 			}
 		}
-		next = append(next, w)
 	}
-	clear(old)
-	m.windows, m.spare, m.windowsVer = next, old[:0], v
+	m.windows, m.windowsVer = next, v
 	return next
 }
 

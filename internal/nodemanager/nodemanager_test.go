@@ -219,3 +219,37 @@ func TestSampleAllocFree(t *testing.T) {
 		t.Errorf("Sample allocates %.1f objects/call, want 0", allocs)
 	}
 }
+
+// TestStatsWindowSurvivesPlacement checks that placing or removing other
+// containers mid-window keeps the samples a surviving container has already
+// accumulated.
+func TestStatsWindowSurvivesPlacement(t *testing.T) {
+	n, nm, c := setup(t)
+	other := container.New("c-1", spec(), "node-0", resources.Vector{CPU: 0.5, MemMB: 256}, 0)
+	other.MaybeStart(0)
+	if err := n.AddContainer(other); err != nil {
+		t.Fatal(err)
+	}
+	c.SetLastUsage(container.Usage{CPU: 1})
+	other.SetLastUsage(container.Usage{CPU: 3})
+	nm.Sample()
+	late := container.New("c-2", spec(), "node-0", resources.Vector{CPU: 0.5, MemMB: 256}, 0)
+	late.MaybeStart(0)
+	if err := n.AddContainer(late); err != nil {
+		t.Fatal(err)
+	}
+	n.RemoveContainer("c-0")
+	late.SetLastUsage(container.Usage{CPU: 2})
+	other.SetLastUsage(container.Usage{CPU: 1})
+	nm.Sample()
+	want := map[string]float64{"c-1": 2, "c-2": 2}
+	rep := nm.Report()
+	if len(rep.Containers) != len(want) {
+		t.Fatalf("report has %d containers, want %d", len(rep.Containers), len(want))
+	}
+	for _, cs := range rep.Containers {
+		if math.Abs(cs.Usage.CPU-want[cs.ID]) > 1e-9 {
+			t.Errorf("%s window average CPU = %v, want %v", cs.ID, cs.Usage.CPU, want[cs.ID])
+		}
+	}
+}

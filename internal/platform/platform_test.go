@@ -278,10 +278,11 @@ func TestBaseLatencyCharged(t *testing.T) {
 	}
 }
 
-// TestRouteByServiceID checks that services are numbered in registration
-// order and that a request is routed by the ID it carries, and pins
-// World.route to zero allocations for an already-created request.
-func TestRouteByServiceID(t *testing.T) {
+// routeWorld registers services a, b and c and returns the world with a
+// request for b that route can be called with repeatedly: each call routes
+// it and takes it back off the replica that received it.
+func routeWorld(t *testing.T) (w *World, route func()) {
+	t.Helper()
 	w, err := New(smallConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -291,16 +292,11 @@ func TestRouteByServiceID(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, name := range []string{"a", "b", "c"} {
-		if id, ok := w.Control().ServiceID(name); !ok || id != workload.ServiceID(i) {
-			t.Errorf("ServiceID(%s) = %d, %v; want %d", name, id, ok, i)
-		}
-	}
 	b := cpuSpec("b")
 	req := w.ids.NewRequest(&b, 0)
 	req.ServiceID = 1
 	var replicas []*container.Container
-	route := func() {
+	return w, func() {
 		w.route(req)
 		replicas = w.Control().AppendReplicas(replicas[:0], "b")
 		for _, c := range replicas {
@@ -310,12 +306,30 @@ func TestRouteByServiceID(t *testing.T) {
 		}
 		t.Fatal("request for service b was not routed to a replica of b")
 	}
+}
+
+// TestRouteByServiceID checks that services are numbered in registration
+// order and that a request is routed by the ID it carries.
+func TestRouteByServiceID(t *testing.T) {
+	w, route := routeWorld(t)
+	for i, name := range []string{"a", "b", "c"} {
+		if id, ok := w.Control().ServiceID(name); !ok || id != workload.ServiceID(i) {
+			t.Errorf("ServiceID(%s) = %d, %v; want %d", name, id, ok, i)
+		}
+	}
+	route()
+	if s := w.Summary(); s.Requests != 0 {
+		t.Errorf("routing recorded %d outcomes, want 0", s.Requests)
+	}
+}
+
+// TestRouteAllocFree pins World.route of an already-created request to zero
+// allocations.
+func TestRouteAllocFree(t *testing.T) {
+	_, route := routeWorld(t)
 	route() // size the replica buffer
 	if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
 		t.Errorf("World.route allocates %.1f objects/request, want 0", allocs)
-	}
-	if s := w.Summary(); s.Requests != 0 {
-		t.Errorf("routing recorded %d outcomes, want 0", s.Requests)
 	}
 }
 
