@@ -23,6 +23,7 @@ import (
 	"hyscale"
 	"hyscale/internal/loadgen"
 	"hyscale/internal/monitor"
+	"hyscale/internal/runner"
 	"hyscale/internal/scenario"
 	"hyscale/internal/workload"
 )
@@ -134,10 +135,15 @@ func runScenario(path string) {
 	if err != nil {
 		fatal(err)
 	}
-	w, err := sc.Run()
+	spec, err := sc.Compile()
 	if err != nil {
 		fatal(err)
 	}
+	res, err := runner.Run(spec)
+	if err != nil {
+		fatal(err)
+	}
+	w := res.World
 	fmt.Printf("scenario %s: algorithm=%s nodes=%d duration=%v\n\n", path, sc.Algorithm, len(w.Cluster().Nodes()), time.Duration(sc.Duration))
 	services := sc.ExpandedServices()
 	shown := services

@@ -1,8 +1,12 @@
 package hyscale
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"hyscale/internal/monitor"
+	"hyscale/internal/scenario"
 )
 
 func TestNewAlgorithm(t *testing.T) {
@@ -156,4 +160,45 @@ func TestNodeDefaults(t *testing.T) {
 	if n.Capacity.CPU != 4 || n.Capacity.MemMB != 8192 {
 		t.Errorf("NodeDefaults = %+v", n.Capacity)
 	}
+}
+
+// TestAdmissionRejectsInvalidConfigs pins that a config is admitted by the
+// same rules whichever door it comes in by: the facade's SimConfig and a
+// scenario file both reach platform.Config.Validate and RunSpec.Validate,
+// and each rejection names the rule it broke.
+func TestAdmissionRejectsInvalidConfigs(t *testing.T) {
+	sims := []struct {
+		name string
+		cfg  SimConfig
+		want string
+	}{
+		{"negative zones", SimConfig{Zones: -3}, "zones must be >= 0"},
+		{"negative lease headroom", SimConfig{Zones: 2, ZoneLeaseHeadroomCPU: -1}, "lease headroom"},
+		{"evacuation without zones", SimConfig{Zones: 1, EvacuateZones: true,
+			SelfHealing: monitor.DefaultSelfHealing()}, "zone evacuation requires a zoned control plane"},
+		{"negative spillover", SimConfig{Zones: 2, ZoneSpilloverZones: -2}, "spillover"},
+		{"negative readopt-after", SimConfig{Zones: 2, ZoneReadoptAfter: -5 * time.Second}, "readopt-after"},
+	}
+	for _, tt := range sims {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := NewSimulation(tt.cfg)
+			if err == nil {
+				t.Fatal("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not mention %q", err, tt.want)
+			}
+		})
+	}
+	t.Run("unknown scenario algorithm", func(t *testing.T) {
+		doc := `{"nodes": 4, "algorithm": "hybirdmem", "duration": "1m",
+		  "services": [{"name": "api", "kind": "cpu", "load": {"type": "constant", "base": 5}}]}`
+		_, err := scenario.Parse(strings.NewReader(doc))
+		if err == nil {
+			t.Fatal("unknown algorithm accepted at Parse")
+		}
+		if !strings.Contains(err.Error(), `unknown algorithm "hybirdmem"`) {
+			t.Errorf("error %q does not name the unknown algorithm", err)
+		}
+	})
 }

@@ -133,8 +133,8 @@ func scaleServices(n int, seed int64) []runner.ServiceRun {
 				Type:      "wave",
 				Base:      baseRPS,
 				Amplitude: 0.3,
-				Period:    4 * time.Minute,
-				Phase:     time.Duration(float64(4*time.Minute) * float64(i) / float64(n)),
+				Period:    runner.Duration(4 * time.Minute),
+				Phase:     runner.Duration(float64(4*time.Minute) * float64(i) / float64(n)),
 			},
 		})
 	}

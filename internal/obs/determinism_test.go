@@ -25,7 +25,7 @@ func observedSpecs() []runner.RunSpec {
 			},
 			Target: 0.5,
 			Load: runner.LoadSpec{Type: "burst", Base: 6, Peak: 30,
-				Period: 80 * time.Second, BurstLen: 25 * time.Second},
+				Period: runner.Duration(80 * time.Second), BurstLen: runner.Duration(25 * time.Second)},
 		}
 	}
 	var specs []runner.RunSpec

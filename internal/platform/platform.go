@@ -125,6 +125,53 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
+// Validate checks the configuration New builds a world from. Every
+// platform-level admission rule lives here, so scenario files, RunSpecs and
+// the public SimConfig are held to the same rules.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Nodes <= 0:
+		return fmt.Errorf("platform: need at least one node")
+	case cfg.Tick <= 0:
+		return fmt.Errorf("platform: tick must be positive")
+	case cfg.Zones < 0:
+		return fmt.Errorf("platform: zones must be >= 0, got %d", cfg.Zones)
+	case cfg.Zones > cfg.Nodes:
+		// A zone with no nodes can never host a service, and the lease scan
+		// would silently skip it — reject instead of shrinking the request.
+		return fmt.Errorf("platform: zones (%d) exceeds node count (%d)", cfg.Zones, cfg.Nodes)
+	case !(cfg.ZoneLeaseHeadroomCPU >= 0):
+		return fmt.Errorf("platform: zone lease headroom must be >= 0, got %g", cfg.ZoneLeaseHeadroomCPU)
+	case cfg.EvacuateZones && cfg.Zones < 2:
+		return fmt.Errorf("platform: zone evacuation requires a zoned control plane (zones >= 2)")
+	case cfg.EvacuateZones && !cfg.SelfHealing.Enabled:
+		return fmt.Errorf("platform: zone evacuation requires self-healing (the per-zone failure detectors are its trigger)")
+	case cfg.ZoneSpilloverZones < 0:
+		return fmt.Errorf("platform: zone spillover zones must be >= 0, got %d", cfg.ZoneSpilloverZones)
+	case cfg.ZoneReadoptAfter < 0:
+		return fmt.Errorf("platform: zone readopt-after must be >= 0, got %v", cfg.ZoneReadoptAfter)
+	}
+	if err := cfg.Faults.Validate(); err != nil {
+		return err
+	}
+	for _, wnd := range cfg.Faults.Windows {
+		if wnd.Kind != faults.KindZoneOutage && wnd.Kind != faults.KindZonePartition {
+			continue
+		}
+		if cfg.Zones <= 1 {
+			return fmt.Errorf("platform: %s fault windows need a zoned control plane (zones >= 2)", wnd.Kind)
+		}
+		zi, err := strconv.Atoi(wnd.Target)
+		if err != nil || zi < 0 || zi >= cfg.Zones {
+			return fmt.Errorf("platform: %s window targets zone %q, want an index in [0,%d)", wnd.Kind, wnd.Target, cfg.Zones)
+		}
+	}
+	if err := cfg.Resilience.Validate(); err != nil {
+		return err
+	}
+	return cfg.CallGraph.Validate(nil)
+}
+
 // serviceRuntime couples a service with its interned ID, its load generator
 // and its replica-count series.
 type serviceRuntime struct {
@@ -207,11 +254,8 @@ type World struct {
 // New builds a world. algo may be nil for experiments with no autoscaler
 // (the §III fixed-allocation microbenchmarks).
 func New(cfg Config, algo core.Algorithm) (*World, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("platform: need at least one node")
-	}
-	if cfg.Tick <= 0 {
-		return nil, fmt.Errorf("platform: tick must be positive")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cl, err := cluster.NewHomogeneous(cfg.Nodes, cfg.NodeTemplate)
 	if err != nil {
@@ -233,14 +277,6 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 		algo = noopAlgorithm{}
 	}
 	zones := cfg.Zones
-	if zones > cfg.Nodes {
-		// A zone with no nodes can never host a service, and the lease scan
-		// would silently skip it — reject instead of shrinking the request.
-		return nil, fmt.Errorf("platform: zones (%d) exceeds node count (%d)", zones, cfg.Nodes)
-	}
-	if cfg.EvacuateZones && !cfg.SelfHealing.Enabled {
-		return nil, fmt.Errorf("platform: zone evacuation requires self-healing (the per-zone failure detectors are its trigger)")
-	}
 	if zones > 1 {
 		p, err := monitor.NewPlane(cl, algo, monitor.PlaneConfig{
 			Zones:            zones,
@@ -296,27 +332,6 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 		m.StartDelay = cfg.StartDelay
 		m.SelfHeal = cfg.SelfHealing
 		m.OnRemovalFailure = onRemoval
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
-	}
-	for _, wnd := range cfg.Faults.Windows {
-		if wnd.Kind != faults.KindZoneOutage && wnd.Kind != faults.KindZonePartition {
-			continue
-		}
-		if zones <= 1 {
-			return nil, fmt.Errorf("platform: %s fault windows need a zoned control plane (zones >= 2)", wnd.Kind)
-		}
-		zi, err := strconv.Atoi(wnd.Target)
-		if err != nil || zi < 0 || zi >= zones {
-			return nil, fmt.Errorf("platform: %s window targets zone %q, want an index in [0,%d)", wnd.Kind, wnd.Target, zones)
-		}
-	}
-	if err := cfg.Resilience.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.CallGraph.Validate(nil); err != nil {
-		return nil, err
 	}
 	if cfg.CallGraph.Enabled() || cfg.Resilience.Enabled() {
 		m := resilience.NewManager(cfg.Resilience, cfg.Seed)

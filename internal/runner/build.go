@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"hyscale/internal/core"
 	"hyscale/internal/cost"
 	"hyscale/internal/metrics"
 	"hyscale/internal/monitor"
@@ -75,25 +74,11 @@ type Result struct {
 // Build materialises a spec into a ready-to-run world plus the finalizers of
 // its hooks. Callers that just want the measurements should use Run.
 func Build(spec RunSpec) (*platform.World, []Finalizer, error) {
-	cfg := spec.Platform
-	if cfg.Nodes == 0 && cfg.Tick == 0 {
-		cfg = platform.DefaultConfig(spec.Seed)
-	}
-	if spec.Seed != 0 {
-		cfg.Seed = spec.Seed
-	}
-	if spec.Observe {
-		cfg.Observe = true
-	}
-	algoCfg := core.DefaultConfig()
-	if spec.AlgoConfig != nil {
-		algoCfg = *spec.AlgoConfig
-	}
-	algo, err := NewAlgorithmManaged(spec.Algorithm, algoCfg, spec.Manager)
+	algo, err := spec.algorithm()
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	w, err := platform.New(cfg, algo)
+	w, err := platform.New(spec.platformConfig(), algo)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
@@ -148,15 +133,15 @@ func Build(spec RunSpec) (*platform.World, []Finalizer, error) {
 	return w, fins, nil
 }
 
-// Run builds and executes one spec to completion, harvesting the standard
-// measurements plus any hook finalizer output.
+// Run validates, builds and executes one spec to completion, harvesting the
+// standard measurements plus any hook finalizer output.
 func Run(spec RunSpec) (Result, error) {
+	if err := spec.Validate(); err != nil {
+		return Result{}, err
+	}
 	w, fins, err := Build(spec)
 	if err != nil {
 		return Result{}, err
-	}
-	if spec.Duration <= 0 {
-		return Result{}, fmt.Errorf("%s: run duration must be positive", spec.Name)
 	}
 	if spec.DrainExtra > 0 {
 		err = w.RunUntilDrained(spec.Duration, spec.DrainExtra)

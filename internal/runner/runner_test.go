@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -242,5 +243,26 @@ func TestRunRejectsZeroDuration(t *testing.T) {
 	spec.Duration = 0
 	if _, err := Run(spec); err == nil {
 		t.Error("zero duration should error")
+	}
+}
+
+func TestDurationRoundTrip(t *testing.T) {
+	d := Duration(90 * time.Second)
+	b, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != `"1m30s"` {
+		t.Errorf("marshal = %s", b)
+	}
+	var d2 Duration
+	if err := json.Unmarshal(b, &d2); err != nil {
+		t.Fatal(err)
+	}
+	if d2 != d {
+		t.Errorf("round trip = %v", d2)
+	}
+	if err := json.Unmarshal([]byte(`42`), &d2); err == nil {
+		t.Error("numeric duration accepted")
 	}
 }

@@ -24,30 +24,52 @@ import (
 	"hyscale/internal/workload"
 )
 
+// Duration is a time.Duration that reads and writes JSON as a Go duration
+// string ("90s", "1m30s"). JSON numbers are rejected: a bare 30 would
+// otherwise mean 30 ns.
+type Duration time.Duration
+
+// MarshalText implements encoding.TextMarshaler.
+func (d Duration) MarshalText() ([]byte, error) {
+	return []byte(time.Duration(d).String()), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (d *Duration) UnmarshalText(b []byte) error {
+	v, err := time.ParseDuration(string(b))
+	if err != nil {
+		return fmt.Errorf("runner: bad duration %q: %w", b, err)
+	}
+	*d = Duration(v)
+	return nil
+}
+
 // LoadSpec is the declarative form of a loadgen.Pattern, covering every
-// concrete pattern the repository ships. The Custom field is the escape
-// hatch for programmatic patterns (e.g. trace-driven closures); it is the
-// one part of a RunSpec that does not serialize.
+// concrete pattern the repository ships, and the "load" block of a scenario
+// file. The Custom field is the escape hatch for programmatic patterns
+// (e.g. trace-driven closures); it is the one part of a RunSpec that does
+// not serialize.
 type LoadSpec struct {
 	// Type selects the pattern:
 	// constant|wave|burst|ramp|diurnal|flashcrowd|scaled|custom, or empty
-	// for no generator (fixed-count injection runs).
+	// or "none" for no generator (fixed-count injection runs, and call-graph
+	// tiers driven purely by upstream calls).
 	Type string `json:"type,omitempty"`
 
-	Base      float64       `json:"base,omitempty"`
-	Peak      float64       `json:"peak,omitempty"`
-	Amplitude float64       `json:"amplitude,omitempty"`
-	Period    time.Duration `json:"period,omitempty"`
-	BurstLen  time.Duration `json:"burstLen,omitempty"`
-	Phase     time.Duration `json:"phase,omitempty"`
-	RampUp    time.Duration `json:"rampUp,omitempty"`
-	Start     time.Duration `json:"start,omitempty"`
-	Hold      time.Duration `json:"hold,omitempty"`
-	Decay     time.Duration `json:"decay,omitempty"`
+	Base      float64  `json:"base,omitempty"`
+	Peak      float64  `json:"peak,omitempty"`
+	Amplitude float64  `json:"amplitude,omitempty"`
+	Period    Duration `json:"period,omitempty"`
+	BurstLen  Duration `json:"burstLen,omitempty"`
+	Phase     Duration `json:"phase,omitempty"`
+	RampUp    Duration `json:"rampUp,omitempty"`
+	Start     Duration `json:"start,omitempty"`
+	Hold      Duration `json:"hold,omitempty"`
+	Decay     Duration `json:"decay,omitempty"`
 
 	// RippleAmplitude and Ripple add the diurnal short cycle.
-	RippleAmplitude float64       `json:"rippleAmplitude,omitempty"`
-	Ripple          time.Duration `json:"ripple,omitempty"`
+	RippleAmplitude float64  `json:"rippleAmplitude,omitempty"`
+	Ripple          Duration `json:"ripple,omitempty"`
 
 	// Factor and Inner describe a "scaled" wrapper around another spec.
 	Factor float64   `json:"factor,omitempty"`
@@ -68,18 +90,18 @@ func FromPattern(p loadgen.Pattern) LoadSpec {
 		return LoadSpec{Type: "constant", Base: v.RPS}
 	case loadgen.Wave:
 		return LoadSpec{Type: "wave", Base: v.Base, Amplitude: v.Amplitude,
-			Period: v.Period, Phase: v.PhaseShift}
+			Period: Duration(v.Period), Phase: Duration(v.PhaseShift)}
 	case loadgen.Burst:
 		return LoadSpec{Type: "burst", Base: v.Base, Peak: v.Peak,
-			Period: v.Period, BurstLen: v.BurstLen, Phase: v.PhaseShift}
+			Period: Duration(v.Period), BurstLen: Duration(v.BurstLen), Phase: Duration(v.PhaseShift)}
 	case loadgen.Ramp:
-		return LoadSpec{Type: "ramp", Base: v.Start, Peak: v.End, RampUp: v.Duration}
+		return LoadSpec{Type: "ramp", Base: v.Start, Peak: v.End, RampUp: Duration(v.Duration)}
 	case loadgen.Diurnal:
 		return LoadSpec{Type: "diurnal", Base: v.Base, Amplitude: v.DayAmplitude,
-			Period: v.Day, RippleAmplitude: v.RippleAmplitude, Ripple: v.Ripple}
+			Period: Duration(v.Day), RippleAmplitude: v.RippleAmplitude, Ripple: Duration(v.Ripple)}
 	case loadgen.FlashCrowd:
 		return LoadSpec{Type: "flashcrowd", Base: v.Base, Peak: v.Peak,
-			Start: v.Start, RampUp: v.RampUp, Hold: v.Hold, Decay: v.Decay}
+			Start: Duration(v.Start), RampUp: Duration(v.RampUp), Hold: Duration(v.Hold), Decay: Duration(v.Decay)}
 	case loadgen.Scaled:
 		inner := FromPattern(v.Pattern)
 		return LoadSpec{Type: "scaled", Factor: v.Factor, Inner: &inner}
@@ -88,9 +110,9 @@ func FromPattern(p loadgen.Pattern) LoadSpec {
 	}
 }
 
-// Pattern materialises the spec; an empty Type yields a nil pattern (no
-// generator, for injection-driven runs). A negative (or NaN) base or peak
-// rate is rejected: the generator would silently emit nothing.
+// Pattern materialises the spec; an empty or "none" Type yields a nil
+// pattern (no generator). A negative (or NaN) base or peak rate is
+// rejected: the generator would silently emit nothing.
 func (l LoadSpec) Pattern() (loadgen.Pattern, error) {
 	if !(l.Base >= 0) {
 		return nil, fmt.Errorf("runner: load base must be >= 0, got %g", l.Base)
@@ -99,24 +121,24 @@ func (l LoadSpec) Pattern() (loadgen.Pattern, error) {
 		return nil, fmt.Errorf("runner: load peak must be >= 0, got %g", l.Peak)
 	}
 	switch l.Type {
-	case "":
+	case "", "none":
 		return nil, nil
 	case "constant":
 		return loadgen.Constant{RPS: l.Base}, nil
 	case "wave":
 		return loadgen.Wave{Base: l.Base, Amplitude: l.Amplitude,
-			Period: l.Period, PhaseShift: l.Phase}, nil
+			Period: time.Duration(l.Period), PhaseShift: time.Duration(l.Phase)}, nil
 	case "burst":
-		return loadgen.Burst{Base: l.Base, Peak: l.Peak,
-			Period: l.Period, BurstLen: l.BurstLen, PhaseShift: l.Phase}, nil
+		return loadgen.Burst{Base: l.Base, Peak: l.Peak, Period: time.Duration(l.Period),
+			BurstLen: time.Duration(l.BurstLen), PhaseShift: time.Duration(l.Phase)}, nil
 	case "ramp":
-		return loadgen.Ramp{Start: l.Base, End: l.Peak, Duration: l.RampUp}, nil
+		return loadgen.Ramp{Start: l.Base, End: l.Peak, Duration: time.Duration(l.RampUp)}, nil
 	case "diurnal":
-		return loadgen.Diurnal{Base: l.Base, DayAmplitude: l.Amplitude, Day: l.Period,
-			RippleAmplitude: l.RippleAmplitude, Ripple: l.Ripple}, nil
+		return loadgen.Diurnal{Base: l.Base, DayAmplitude: l.Amplitude, Day: time.Duration(l.Period),
+			RippleAmplitude: l.RippleAmplitude, Ripple: time.Duration(l.Ripple)}, nil
 	case "flashcrowd":
-		return loadgen.FlashCrowd{Base: l.Base, Peak: l.Peak, Start: l.Start,
-			RampUp: l.RampUp, Hold: l.Hold, Decay: l.Decay}, nil
+		return loadgen.FlashCrowd{Base: l.Base, Peak: l.Peak, Start: time.Duration(l.Start),
+			RampUp: time.Duration(l.RampUp), Hold: time.Duration(l.Hold), Decay: time.Duration(l.Decay)}, nil
 	case "scaled":
 		if l.Inner == nil {
 			return nil, fmt.Errorf("runner: scaled load without inner pattern")
@@ -241,4 +263,81 @@ func (s RunSpec) RowLabel() string {
 		return s.Label
 	}
 	return s.Name
+}
+
+// platformConfig resolves the world configuration Build runs: a zero
+// Platform means platform.DefaultConfig(Seed), and Seed and Observe
+// override their Platform counterparts.
+func (s RunSpec) platformConfig() platform.Config {
+	cfg := s.Platform
+	if cfg.Nodes == 0 && cfg.Tick == 0 {
+		cfg = platform.DefaultConfig(s.Seed)
+	}
+	if s.Seed != 0 {
+		cfg.Seed = s.Seed
+	}
+	if s.Observe {
+		cfg.Observe = true
+	}
+	return cfg
+}
+
+// algorithm instantiates the spec's autoscaler (nil for "" and "none").
+func (s RunSpec) algorithm() (core.Algorithm, error) {
+	algoCfg := core.DefaultConfig()
+	if s.AlgoConfig != nil {
+		algoCfg = *s.AlgoConfig
+	}
+	return NewAlgorithmManaged(s.Algorithm, algoCfg, s.Manager)
+}
+
+// Validate checks the spec without building it: the resolved platform
+// configuration, a positive duration, that the algorithm and manager
+// configuration resolve, every service's spec and load, unique service
+// names, and that manager targets and call-graph endpoints name declared
+// services. Run calls it; scenario files are held to it at Parse.
+func (s RunSpec) Validate() error {
+	if err := s.validate(); err != nil {
+		return fmt.Errorf("%s: %w", s.Name, err)
+	}
+	return nil
+}
+
+func (s RunSpec) validate() error {
+	cfg := s.platformConfig()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if s.Duration <= 0 {
+		return fmt.Errorf("run duration must be positive")
+	}
+	if s.Manager != nil {
+		if err := s.Manager.Validate(); err != nil {
+			return err
+		}
+	}
+	if _, err := s.algorithm(); err != nil {
+		return err
+	}
+	declared := make(map[string]bool, len(s.Services))
+	for _, svc := range s.Services {
+		if err := svc.Spec.Validate(); err != nil {
+			return fmt.Errorf("service %q: %w", svc.Spec.Name, err)
+		}
+		if _, err := svc.Load.Pattern(); err != nil {
+			return fmt.Errorf("service %q: %w", svc.Spec.Name, err)
+		}
+		if declared[svc.Spec.Name] {
+			return fmt.Errorf("duplicate service %q", svc.Spec.Name)
+		}
+		declared[svc.Spec.Name] = true
+	}
+	if s.Manager != nil {
+		for _, ms := range s.Manager.Services {
+			if !declared[ms.Service] {
+				return fmt.Errorf("manager targets unknown service %q", ms.Service)
+			}
+		}
+	}
+	return cfg.CallGraph.Validate(declared)
 }

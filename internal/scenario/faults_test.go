@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hyscale/internal/faults"
+	"hyscale/internal/runner"
 )
 
 const withFaults = `{
@@ -75,7 +76,7 @@ func TestBuildWiresFaultsAndHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := sc.Build()
+	w, _, err := runner.Build(compile(t, sc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestBuildWiresFaultsAndHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := sc2.Build()
+	w2, _, err := runner.Build(compile(t, sc2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +118,7 @@ func TestScenarioRunWithFaultsIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := sc.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := run(t, sc)
 		s := w.Summary()
 		return w.Monitor().Counts().StaleSnapshots, s.FailedPercent()
 	}

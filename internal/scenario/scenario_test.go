@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hyscale/internal/platform"
+	"hyscale/internal/runner"
 )
 
 const minimal = `{
@@ -104,15 +107,15 @@ func TestDuplicateServiceNames(t *testing.T) {
 
 func TestLoadPatternTypes(t *testing.T) {
 	tests := []struct {
-		load Load
+		load runner.LoadSpec
 		at   time.Duration
 		want float64
 	}{
-		{Load{Type: "constant", Base: 7}, time.Hour, 7},
-		{Load{Type: "ramp", Base: 0, Peak: 10, RampUp: Duration(10 * time.Second)}, Duration(5 * time.Second).toTime(), 5},
-		{Load{Type: "burst", Base: 1, Peak: 9, Period: Duration(time.Minute), BurstLen: Duration(10 * time.Second)}, 5 * time.Second, 9},
-		{Load{Type: "diurnal", Base: 10, Amplitude: 0.5, Period: Duration(time.Hour)}, 0, 10},
-		{Load{Type: "flashcrowd", Base: 2, Peak: 20, Start: Duration(time.Minute), RampUp: Duration(time.Second), Hold: Duration(time.Minute)}, 90 * time.Second, 20},
+		{runner.LoadSpec{Type: "constant", Base: 7}, time.Hour, 7},
+		{runner.LoadSpec{Type: "ramp", Base: 0, Peak: 10, RampUp: runner.Duration(10 * time.Second)}, 5 * time.Second, 5},
+		{runner.LoadSpec{Type: "burst", Base: 1, Peak: 9, Period: runner.Duration(time.Minute), BurstLen: runner.Duration(10 * time.Second)}, 5 * time.Second, 9},
+		{runner.LoadSpec{Type: "diurnal", Base: 10, Amplitude: 0.5, Period: runner.Duration(time.Hour)}, 0, 10},
+		{runner.LoadSpec{Type: "flashcrowd", Base: 2, Peak: 20, Start: runner.Duration(time.Minute), RampUp: runner.Duration(time.Second), Hold: runner.Duration(time.Minute)}, 90 * time.Second, 20},
 	}
 	for _, tt := range tests {
 		p, err := tt.load.Pattern()
@@ -125,17 +128,12 @@ func TestLoadPatternTypes(t *testing.T) {
 	}
 }
 
-func (d Duration) toTime() time.Duration { return time.Duration(d) }
-
 func TestBuildAndRunEndToEnd(t *testing.T) {
 	sc, err := Parse(strings.NewReader(minimal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := run(t, sc)
 	s := w.Summary()
 	if s.Completed < 500 {
 		t.Errorf("completed = %d, want >= 500", s.Completed)
@@ -151,60 +149,40 @@ func TestBuildWithFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := run(t, sc)
 	if got := len(w.Cluster().Nodes()); got != 3 {
 		t.Errorf("nodes = %d after failure, want 3", got)
 	}
 }
 
 func TestBuildAlgorithms(t *testing.T) {
-	for _, name := range []string{
-		"kubernetes", "network", "hybrid", "hybridmem",
-		"hybrid-noreclaim", "hybridmem-vertical-only", "hybrid-horizontal-only",
-	} {
-		a, err := buildAlgorithm(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if a.Name() != name {
-			t.Errorf("Name = %q, want %q", a.Name(), name)
-		}
-	}
-	if _, err := buildAlgorithm("nope"); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
 	// "none" handled at Build level: the scenario runs with a no-op scaler.
 	js := strings.Replace(minimal, `"hybridmem"`, `"none"`, 1)
 	sc, err := Parse(strings.NewReader(js))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Build(); err != nil {
+	if _, _, err := runner.Build(compile(t, sc)); err != nil {
 		t.Errorf("algorithm none: %v", err)
 	}
 }
 
-func TestDurationRoundTrip(t *testing.T) {
-	d := Duration(90 * time.Second)
-	b, err := d.MarshalJSON()
+// compile lowers a parsed scenario to its RunSpec.
+func compile(t *testing.T, sc *Scenario) runner.RunSpec {
+	t.Helper()
+	spec, err := sc.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b) != `"1m30s"` {
-		t.Errorf("marshal = %s", b)
-	}
-	var d2 Duration
-	if err := d2.UnmarshalJSON(b); err != nil {
+	return spec
+}
+
+// run compiles and runs a parsed scenario, returning the world.
+func run(t *testing.T, sc *Scenario) *platform.World {
+	t.Helper()
+	res, err := runner.Run(compile(t, sc))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d2 != d {
-		t.Errorf("round trip = %v", d2)
-	}
-	if err := d2.UnmarshalJSON([]byte(`42`)); err == nil {
-		t.Error("numeric duration accepted")
-	}
+	return res.World
 }
