@@ -90,12 +90,15 @@ func (f Func) Rate(at time.Duration) float64 { return f(at) }
 // IDAllocator hands out process-wide unique request IDs for one experiment,
 // and the requests themselves. Requests are carved from fixed-size chunks,
 // so a tick's arrivals cost one allocation per requestChunk requests instead
-// of one each. A chunk is reclaimed once none of its requests is reachable,
-// which is why every buffer that holds requests across calls must clear the
-// pointers it has consumed: one stale pointer pins a whole chunk.
+// of one each, and a request handed back with Release is reused before any
+// new chunk is carved. Release is the owner's promise that nothing reads the
+// request again: a pointer kept past it aliases a later request.
 type IDAllocator struct {
-	next uint64
-	slab []workload.Request
+	next   uint64
+	slab   []workload.Request
+	chunks int
+	// free holds released requests, zeroed, popped last-in first-out.
+	free []*workload.Request
 }
 
 // requestChunk is the number of requests allocated together.
@@ -108,15 +111,39 @@ func (a *IDAllocator) Next() uint64 {
 }
 
 // NewRequest returns a fresh request for spec arriving at the given
-// simulated time, with the next ID, carved from the current chunk.
+// simulated time, with the next ID: a released request if one is waiting,
+// else the next slot of the current chunk.
 func (a *IDAllocator) NewRequest(spec *workload.ServiceSpec, arrival time.Duration) *workload.Request {
-	if len(a.slab) == 0 {
-		a.slab = make([]workload.Request, requestChunk)
+	var r *workload.Request
+	if n := len(a.free); n > 0 {
+		r = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+	} else {
+		if len(a.slab) == 0 {
+			a.slab = make([]workload.Request, requestChunk)
+			a.chunks++
+		}
+		r = &a.slab[0]
+		a.slab = a.slab[1:]
 	}
-	r := &a.slab[0]
-	a.slab = a.slab[1:]
 	r.Init(a.Next(), spec, arrival)
 	return r
+}
+
+// Release zeroes r and keeps it for the next NewRequest. The caller must own
+// r — it came from NewRequest and was not released since — and must not
+// touch it afterwards.
+func (a *IDAllocator) Release(r *workload.Request) {
+	*r = workload.Request{}
+	a.free = append(a.free, r)
+}
+
+// Ledger reports how many requests have been carved from chunks, and the
+// released ones awaiting reuse. The slice is the free list itself, valid
+// until the next NewRequest or Release; ownership checks read it.
+func (a *IDAllocator) Ledger() (carved int, free []*workload.Request) {
+	return a.chunks*requestChunk - len(a.slab), a.free
 }
 
 // Generator produces request arrivals for one microservice.

@@ -230,6 +230,39 @@ func TestSlabRequests(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesRequests checks that a released request, however it
+// was left, comes back from NewRequest initialised like workload.NewRequest
+// builds it, before any new storage is carved, and that IDs keep increasing
+// across reuse.
+func TestReleaseRecyclesRequests(t *testing.T) {
+	var ids IDAllocator
+	sp := spec()
+	a, b := ids.NewRequest(&sp, 1), ids.NewRequest(&sp, 2)
+	a.ServiceID, a.Phase, a.ExtraLatency, a.Edge, a.PendingChildren = 3, workload.PhaseNet, time.Second, "x->y", 2
+	ids.Release(a)
+	ids.Release(b)
+	if carved, free := ids.Ledger(); carved != 2 || len(free) != 2 {
+		t.Fatalf("after two releases: carved %d, %d free; want 2 and 2", carved, len(free))
+	}
+	for i, want := range []*workload.Request{b, a} {
+		id := uint64(3 + i)
+		at := time.Duration(10 + i)
+		r := ids.NewRequest(&sp, at)
+		if r != want {
+			t.Fatalf("request %d: got fresh storage, want the last released request", id)
+		}
+		if exp := workload.NewRequest(id, spec(), at); *r != *exp {
+			t.Fatalf("recycled request = %+v, want %+v", *r, *exp)
+		}
+	}
+	if r := ids.NewRequest(&sp, 12); r.ID != 5 || r == a || r == b {
+		t.Fatalf("with the free list empty: ID %d, reused %v; want ID 5 from fresh storage", r.ID, r == a || r == b)
+	}
+	if carved, free := ids.Ledger(); carved != 3 || len(free) != 0 {
+		t.Fatalf("ledger: carved %d, %d free; want 3 and 0", carved, len(free))
+	}
+}
+
 // TestArrivalsClearConsumedBuffer checks that a smaller tick does not leave
 // the previous tick's requests reachable past the end of the reused buffer.
 func TestArrivalsClearConsumedBuffer(t *testing.T) {

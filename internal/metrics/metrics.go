@@ -18,9 +18,9 @@ import (
 // It is not safe for concurrent use; the simulation is single-threaded.
 //
 // The recorder keeps every latency sample for exact percentiles (what the
-// experiment tables report) and, in parallel, a constant-memory log-bucket
-// histogram for long-lived deployments to export (see LatencyHistogram and
-// the /v1/latency endpoint in internal/httpapi).
+// experiment tables report). The log-bucket histogram that long-lived
+// deployments export (the /v1/latency endpoint in internal/httpapi) is built
+// from those samples on read, so recording a completion is an append.
 //
 // Services are interned: each name gets a dense workload.ServiceID on first
 // use (Intern), and the ID-keyed methods index a slice. The platform interns
@@ -32,7 +32,6 @@ type Recorder struct {
 	// order lists the services that have recorded anything (or reserved
 	// room), in first-seen order.
 	order []*ServiceStats
-	hist  *stats.Histogram
 
 	// svcScratch is Services' reusable result buffer — valid until the next
 	// Services call.
@@ -44,15 +43,23 @@ type Recorder struct {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		ids:  make(map[string]workload.ServiceID),
-		hist: stats.DefaultLatencyHistogram(),
-	}
+	return &Recorder{ids: make(map[string]workload.ServiceID)}
 }
 
-// LatencyHistogram returns the streaming latency histogram across all
-// services.
-func (r *Recorder) LatencyHistogram() *stats.Histogram { return r.hist }
+// LatencyHistogram builds the default latency histogram over every
+// completion recorded so far, across all services. Its counts, sum and max
+// do not depend on the order samples are folded in, so it equals a histogram
+// fed each completion as it arrived, although Summarize sorts the samples in
+// place.
+func (r *Recorder) LatencyHistogram() *stats.Histogram {
+	h := stats.DefaultLatencyHistogram()
+	for _, s := range r.order {
+		for _, d := range s.latencies {
+			h.Observe(d)
+		}
+	}
+	return h
+}
 
 // ServiceStats holds the outcome counters and latency samples for one
 // microservice.
@@ -157,7 +164,6 @@ func (r *Recorder) RecordCompletionID(id workload.ServiceID, latency time.Durati
 	s.Completed++
 	s.latencies = append(s.latencies, latency)
 	s.totalLat += latency
-	r.hist.Observe(latency)
 }
 
 // RecordFailure records a failed request with its failure class.

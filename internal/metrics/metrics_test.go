@@ -1,10 +1,13 @@
 package metrics
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"hyscale/internal/stats"
 	"hyscale/internal/workload"
 )
 
@@ -186,5 +189,47 @@ func TestLatencyHistogramTracksCompletions(t *testing.T) {
 	ratio := float64(est) / float64(exact)
 	if ratio < 0.85 || ratio > 1.15 {
 		t.Errorf("histogram p95 %v vs exact %v (ratio %.2f)", est, exact, ratio)
+	}
+}
+
+// TestLatencyHistogramMatchesStreaming checks that the histogram built on
+// read equals one fed with every completion as it arrived — counts, mean,
+// max, every bucket and the quantiles — across services, with samples below
+// and beyond the bucketed range, and with Summarize calls in between that
+// sort the kept samples in place.
+func TestLatencyHistogramMatchesStreaming(t *testing.T) {
+	r := NewRecorder()
+	streamed := stats.DefaultLatencyHistogram()
+	rng := rand.New(rand.NewSource(7))
+	services := []string{"a", "b", "c"}
+	for i := 0; i < 3000; i++ {
+		var d time.Duration
+		switch i % 10 {
+		case 0:
+			d = time.Duration(rng.Int63n(int64(time.Millisecond))) // below the range
+		case 1:
+			d = 10*time.Minute + time.Duration(rng.Int63n(int64(time.Hour))) // beyond it
+		default:
+			d = time.Duration(rng.ExpFloat64() * float64(200*time.Millisecond))
+		}
+		r.RecordCompletion(services[rng.Intn(len(services))], d)
+		streamed.Observe(d)
+		if i%700 == 699 {
+			r.Summarize()
+		}
+	}
+	r.SummarizeService("b")
+	got := r.LatencyHistogram()
+	if got.Count() != streamed.Count() || got.Mean() != streamed.Mean() || got.Max() != streamed.Max() {
+		t.Fatalf("count/mean/max = %d/%v/%v, want %d/%v/%v",
+			got.Count(), got.Mean(), got.Max(), streamed.Count(), streamed.Mean(), streamed.Max())
+	}
+	if gb, sb := got.Buckets(), streamed.Buckets(); !slices.Equal(gb, sb) {
+		t.Fatalf("buckets differ:\n got  %v\n want %v", gb, sb)
+	}
+	for _, q := range []float64{0.50, 0.95, 0.99} {
+		if g, w := got.Quantile(q), streamed.Quantile(q); g != w {
+			t.Errorf("p%v = %v, want %v", 100*q, g, w)
+		}
 	}
 }

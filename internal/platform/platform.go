@@ -218,7 +218,9 @@ type World struct {
 	// name-keyed edges (injection, call-graph edges).
 	services []*serviceRuntime
 	byName   map[string]*serviceRuntime
-	// ids numbers requests and carves them from fixed-size chunks.
+	// ids numbers requests and carves them from fixed-size chunks. A plain
+	// world releases each request back to it at the request's one terminal
+	// point (DESIGN §12); call-graph worlds never release.
 	ids loadgen.IDAllocator
 
 	recorder *metrics.Recorder
@@ -324,8 +326,7 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 			w.graph.onRemoval(r)
 			return
 		}
-		w.recorder.RecordFailureID(r.ServiceID, workload.FailureRemoval)
-		w.costs.ObserveFailure()
+		w.fail(r, workload.FailureRemoval)
 	}
 	for _, m := range w.arbiters() {
 		m.Obs = w.journal
@@ -538,7 +539,12 @@ func (w *World) InjectRequests(at time.Duration, window time.Duration, service s
 		reqs[i] = w.ids.NewRequest(&rt.spec, arrive)
 		reqs[i].ServiceID = rt.id
 	}
-	fire := func(e *sim.Engine, i int) { w.route(reqs[i]) }
+	fire := func(e *sim.Engine, i int) {
+		// route may release the request; drop the reference first.
+		r := reqs[i]
+		reqs[i] = nil
+		w.route(r)
+	}
 	for i := 0; i < n; {
 		j := i + 1
 		for j < n && reqs[j].Arrival == reqs[i].Arrival {
@@ -569,19 +575,25 @@ func (w *World) route(req *workload.Request) {
 		} else {
 			w.connFail.Absent++
 		}
-		w.recorder.RecordFailureID(req.ServiceID, workload.FailureConnection)
-		w.costs.ObserveFailure()
+		w.fail(req, workload.FailureConnection)
 		return
 	}
 	if w.faults.BackendDown(now, target.Service, target.ID) {
 		// The chosen backend is black-holing connections — an outage the
 		// balancer's probes have not (or, unhardened, will never) notice.
 		w.connFail.Unhealthy++
-		w.recorder.RecordFailureID(req.ServiceID, workload.FailureConnection)
-		w.costs.ObserveFailure()
+		w.fail(req, workload.FailureConnection)
 		return
 	}
 	target.Enqueue(req)
+}
+
+// fail records a plain-world request's failure and releases it: the
+// terminal point of every request that does not complete.
+func (w *World) fail(r *workload.Request, class workload.FailureClass) {
+	w.recorder.RecordFailureID(r.ServiceID, class)
+	w.costs.ObserveFailure()
+	w.ids.Release(r)
 }
 
 // tick runs one physics step: generate arrivals, advance the cluster,
@@ -611,10 +623,10 @@ func (w *World) tick(e *sim.Engine) {
 			}
 			w.recorder.RecordCompletionID(r.ServiceID, latency)
 			w.costs.ObserveCompletion(latency)
+			w.ids.Release(r)
 		}
 		for _, r := range res.TimedOut {
-			w.recorder.RecordFailureID(r.ServiceID, workload.FailureConnection)
-			w.costs.ObserveFailure()
+			w.fail(r, workload.FailureConnection)
 		}
 	}
 
@@ -810,6 +822,10 @@ func (w *World) ScheduleNodeFailure(at time.Duration, nodeID string) error {
 			w.ctl.DetachNode(nodeID)
 		}
 		for _, r := range killed {
+			if w.graph == nil {
+				w.fail(r, workload.FailureRemoval)
+				continue
+			}
 			w.recorder.RecordFailureID(r.ServiceID, workload.FailureRemoval)
 			w.costs.ObserveFailure()
 		}

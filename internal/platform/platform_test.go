@@ -333,6 +333,36 @@ func TestRouteAllocFree(t *testing.T) {
 	}
 }
 
+// TestTickAllocFree pins one World.Run tick of a warm plain world to zero
+// allocations: arrivals reuse the requests earlier ticks released, and
+// routing, physics and completion recording append into storage that
+// earlier ticks (and Recorder.Reserve) sized.
+func TestTickAllocFree(t *testing.T) {
+	w, err := New(smallConfig(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		spec := cpuSpec(name)
+		spec.CPUPerRequest = 0.0005
+		if err := w.AddService(spec, 0.5, loadgen.Constant{RPS: 2000}); err != nil {
+			t.Fatal(err)
+		}
+		w.Recorder().Reserve(name, 1<<16)
+	}
+	if err := w.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	tick := func() {
+		if err := w.Run(w.engine.Now() + w.cfg.Tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Errorf("World.Run allocates %.1f objects/tick, want 0", allocs)
+	}
+}
+
 // TestAddServiceRejectsMisalignedRecorder checks that a recorder which
 // interned a name before registration is reported instead of silently
 // recording under the wrong service.

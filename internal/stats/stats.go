@@ -2,8 +2,9 @@
 // histogram with bounded relative error and O(1) memory, online
 // mean/variance (Welford), and exponentially weighted moving averages.
 // The exact-percentile recorder in internal/metrics stores every sample —
-// fine for experiments; the histogram here is what a long-lived deployment
-// (cmd/hyscale-server) exports without unbounded growth.
+// fine for experiments — and builds this histogram from them when a
+// long-lived deployment (cmd/hyscale-server) exports it; fed directly, it
+// summarises a stream in O(1) memory.
 package stats
 
 import (
