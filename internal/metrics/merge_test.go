@@ -1,7 +1,7 @@
 package metrics
 
-// Tests for the incremental sorted-merge machinery that replaced the full
-// per-refresh re-sort, plus allocation regressions for the accessors the
+// Tests for the per-distinct-value latency store and its sort-on-read
+// summaries, plus allocation regressions for the accessors the
 // observability layer calls every monitor period.
 
 import (
@@ -13,37 +13,6 @@ import (
 
 	"hyscale/internal/workload"
 )
-
-// TestMergeSortedSuffixProperty cross-checks the in-place suffix merge
-// against a plain full sort across random prefix/suffix shapes, including
-// the degenerate cases (empty prefix, empty suffix, suffix entirely before
-// or after the prefix).
-func TestMergeSortedSuffixProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var buf []time.Duration
-	for trial := 0; trial < 500; trial++ {
-		n := rng.Intn(40)
-		m := rng.Intn(40)
-		all := make([]time.Duration, 0, n+m)
-		for i := 0; i < n; i++ {
-			all = append(all, time.Duration(rng.Intn(1000)))
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		for i := 0; i < m; i++ {
-			all = append(all, time.Duration(rng.Intn(1000)))
-		}
-		want := append([]time.Duration(nil), all...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-
-		buf = mergeSortedSuffix(all, n, buf)
-		for i := range want {
-			if all[i] != want[i] {
-				t.Fatalf("trial %d (n=%d m=%d): merged[%d] = %v, want %v\nmerged: %v\nwant:   %v",
-					trial, n, m, i, all[i], want[i], all, want)
-			}
-		}
-	}
-}
 
 // TestIncrementalSummariesMatchFullSort records in several interleaved
 // rounds and checks that the incrementally-maintained percentile caches
@@ -96,8 +65,9 @@ func TestServicesAllocFree(t *testing.T) {
 // TestSummariesMatchSortedUnionProperty checks Summarize and
 // SummarizeService against a reference that sorts the union of all samples
 // and takes nearest-rank percentiles. Random recorders mix empty services
-// (failures or reservations only), heavily duplicated latencies, and
-// summaries interleaved with recording.
+// (failures only), heavily duplicated latencies, all-distinct latencies
+// (the store's worst case: one run per sample), and summaries interleaved
+// with recording.
 func TestSummariesMatchSortedUnionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1013))
 	nearest := func(sorted []time.Duration, p float64) time.Duration {
@@ -136,11 +106,14 @@ func TestSummariesMatchSortedUnionProperty(t *testing.T) {
 			names[i] = string(rune('a' + i))
 			truth[names[i]] = &svcTruth{}
 		}
-		// Small value ranges force duplicates; some trials use one value.
+		// Small value ranges force duplicates; some trials use one value,
+		// and some make every latency distinct.
 		span := 1 + rng.Intn(50)
 		if trial%10 == 0 {
 			span = 1
 		}
+		allDistinct := trial%10 == 5
+		seq := 0
 		check := func(round int) {
 			t.Helper()
 			var all []time.Duration
@@ -168,13 +141,20 @@ func TestSummariesMatchSortedUnionProperty(t *testing.T) {
 						r.RecordFailure(name, workload.FailureRemoval)
 						tr.rem++
 					} else {
-						r.Reserve(name, 8)
+						r.RecordFailure(name, workload.FailureConnection)
+						tr.conn++
 					}
 				case k == 0:
 					r.RecordFailure(name, workload.FailureConnection)
 					tr.conn++
 				default:
 					lat := time.Duration(rng.Intn(span)) * time.Millisecond
+					if allDistinct {
+						// seq < 1ms is unique per sample, so no two collide;
+						// the random millisecond part shuffles their order.
+						lat = time.Duration(rng.Intn(1000))*time.Millisecond + time.Duration(seq)
+						seq++
+					}
 					r.RecordCompletion(name, lat)
 					tr.lats = append(tr.lats, lat)
 					tr.completed++
@@ -186,5 +166,54 @@ func TestSummariesMatchSortedUnionProperty(t *testing.T) {
 			}
 			check(round)
 		}
+	}
+}
+
+// TestLatencyStorageBoundedByDistinct checks that the latency store grows
+// with distinct values, not with requests: 10k and then 1M completions over
+// the same 100 distinct values across 4 services retain exactly 100 counted
+// values and, once summarised, 100 sorted runs — while the summaries still
+// count every sample.
+func TestLatencyStorageBoundedByDistinct(t *testing.T) {
+	const distinct = 100
+	svcs := []string{"a", "b", "c", "d"}
+	r := NewRecorder()
+	recorded := 0
+	for _, total := range []int{10_000, 1_000_000} {
+		for ; recorded < total; recorded++ {
+			v := recorded % distinct
+			r.RecordCompletion(svcs[v%len(svcs)], time.Duration(v+1)*10*time.Millisecond)
+		}
+		sum := r.Summarize()
+		if sum.Completed != uint64(total) || sum.MaxLatency != distinct*10*time.Millisecond {
+			t.Fatalf("after %d samples: completed=%d max=%v", total, sum.Completed, sum.MaxLatency)
+		}
+		if counted, runs := r.latencyEntries(); counted != distinct || runs != distinct {
+			t.Errorf("after %d samples: %d counted values and %d runs retained, want %d each",
+				total, counted, runs, distinct)
+		}
+	}
+}
+
+// BenchmarkRecordCompletion measures the record path: tick-quantised
+// latencies (a few hundred distinct values, the common case) and
+// all-distinct latencies (the store's worst case, one map entry per sample).
+func BenchmarkRecordCompletion(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		latency func(i int) time.Duration
+	}{
+		{"tick-quantised", func(i int) time.Duration { return time.Duration(1+i%500) * 100 * time.Millisecond }},
+		{"all-distinct", func(i int) time.Duration { return time.Duration(i) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := NewRecorder()
+			id := r.Intern("svc")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.RecordCompletionID(id, bc.latency(i))
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -17,10 +18,13 @@ import (
 // Recorder accumulates per-service request outcomes for one experiment run.
 // It is not safe for concurrent use; the simulation is single-threaded.
 //
-// The recorder keeps every latency sample for exact percentiles (what the
-// experiment tables report). The log-bucket histogram that long-lived
-// deployments export (the /v1/latency endpoint in internal/httpapi) is built
-// from those samples on read, so recording a completion is an append.
+// The recorder keeps every latency sample exactly, for exact percentiles
+// (what the experiment tables report), but stores them as a count per
+// distinct value: simulated latencies are tick-quantised, so memory grows
+// with the distinct values seen rather than with requests. The log-bucket
+// histogram that long-lived deployments export (the /v1/latency endpoint in
+// internal/httpapi) is built from those counts on read, so recording a
+// completion is one map increment.
 //
 // Services are interned: each name gets a dense workload.ServiceID on first
 // use (Intern), and the ID-keyed methods index a slice. The platform interns
@@ -29,16 +33,16 @@ import (
 type Recorder struct {
 	ids  map[string]workload.ServiceID
 	byID []*ServiceStats
-	// order lists the services that have recorded anything (or reserved
-	// room), in first-seen order.
+	// order lists the services that have recorded anything, in first-seen
+	// order.
 	order []*ServiceStats
 
 	// svcScratch is Services' reusable result buffer — valid until the next
 	// Services call.
 	svcScratch []*ServiceStats
 
-	// mergeBuf is the shared scratch for incremental sorted merges.
-	mergeBuf []time.Duration
+	// unionBuf is Summarize's reused scratch for every service's runs.
+	unionBuf []run
 }
 
 // NewRecorder returns an empty recorder.
@@ -47,15 +51,14 @@ func NewRecorder() *Recorder {
 }
 
 // LatencyHistogram builds the default latency histogram over every
-// completion recorded so far, across all services. Its counts, sum and max
-// do not depend on the order samples are folded in, so it equals a histogram
-// fed each completion as it arrived, although Summarize sorts the samples in
-// place.
+// completion recorded so far, across all services, in O(distinct values).
+// Its counts, sum and max do not depend on the order samples are folded in,
+// so it equals a histogram fed each completion as it arrived.
 func (r *Recorder) LatencyHistogram() *stats.Histogram {
 	h := stats.DefaultLatencyHistogram()
 	for _, s := range r.order {
-		for _, d := range s.latencies {
-			h.Observe(d)
+		for d, n := range s.counts {
+			h.ObserveN(d, n)
 		}
 	}
 	return h
@@ -70,56 +73,40 @@ type ServiceStats struct {
 	RemovalFailures    uint64
 	ConnectionFailures uint64
 
-	// latencies holds every completion's latency. latencies[:sortedN] is in
-	// ascending order; samples recorded since the last summary follow it in
-	// arrival order until the next summary sorts them in place.
-	latencies []time.Duration
-	sortedN   int
-	totalLat  time.Duration
+	// counts holds every completion's latency as a count per distinct value.
+	counts   map[time.Duration]uint64
+	totalLat time.Duration
+	// runs is counts in ascending latency order, rebuilt on read when
+	// completions have landed since (runsAt trails Completed).
+	runs   []run
+	runsAt uint64
 
 	// seen marks a service listed in Recorder.order.
 	seen bool
 }
 
-// sortedLatencies returns the service's latencies in ascending order,
-// sorting in place: only samples appended since the last call are sorted,
-// then merged into the sorted prefix — O(new·log new + shifted) instead of
-// a full re-sort per refresh. buf is the merge scratch.
-func (s *ServiceStats) sortedLatencies(buf *[]time.Duration) []time.Duration {
-	if s.sortedN != len(s.latencies) {
-		*buf = mergeSortedSuffix(s.latencies, s.sortedN, *buf)
-		s.sortedN = len(s.latencies)
-	}
-	return s.latencies
+// run is one distinct latency and the number of completions that took it.
+type run struct {
+	d time.Duration
+	n uint64
 }
 
-// mergeSortedSuffix sorts all[n:] and merges it into the already-sorted
-// all[:n], in place, using (and returning) buf as scratch for the suffix.
-func mergeSortedSuffix(all []time.Duration, n int, buf []time.Duration) []time.Duration {
-	tail := all[n:]
-	if len(tail) == 0 {
-		return buf
-	}
-	slices.Sort(tail)
-	if n == 0 || all[n-1] <= tail[0] {
-		// Already in order — the common case when latencies trend upward.
-		return buf
-	}
-	buf = append(buf[:0], tail...)
-	// Backward two-pointer merge: stops as soon as the suffix is placed, so
-	// the cost is proportional to how far new samples reach into the run.
-	i, k := n-1, len(all)-1
-	for j := len(buf) - 1; j >= 0; {
-		if i >= 0 && all[i] > buf[j] {
-			all[k] = all[i]
-			i--
-		} else {
-			all[k] = buf[j]
-			j--
+// sortedRuns returns the service's latencies as ascending runs, rebuilding
+// them from the counts only when completions landed since the last call.
+func (s *ServiceStats) sortedRuns() []run {
+	if s.runsAt != s.Completed {
+		s.runs = s.runs[:0]
+		for d, n := range s.counts {
+			s.runs = append(s.runs, run{d, n})
 		}
-		k--
+		sortRuns(s.runs)
+		s.runsAt = s.Completed
 	}
-	return buf
+	return s.runs
+}
+
+func sortRuns(runs []run) {
+	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.d, b.d) })
 }
 
 // Intern returns the service's ID, assigning the next dense ID on first
@@ -129,7 +116,7 @@ func (r *Recorder) Intern(service string) workload.ServiceID {
 	if !ok {
 		id = workload.ServiceID(len(r.byID))
 		r.ids[service] = id
-		r.byID = append(r.byID, &ServiceStats{Name: service})
+		r.byID = append(r.byID, &ServiceStats{Name: service, counts: make(map[time.Duration]uint64)})
 	}
 	return id
 }
@@ -162,7 +149,7 @@ func (r *Recorder) RecordCompletion(service string, latency time.Duration) {
 func (r *Recorder) RecordCompletionID(id workload.ServiceID, latency time.Duration) {
 	s := r.record(id)
 	s.Completed++
-	s.latencies = append(s.latencies, latency)
+	s.counts[latency]++
 	s.totalLat += latency
 }
 
@@ -188,18 +175,6 @@ func (r *Recorder) RecordFailureID(id workload.ServiceID, class workload.Failure
 func (r *Recorder) Services() []*ServiceStats {
 	r.svcScratch = append(r.svcScratch[:0], r.order...)
 	return r.svcScratch
-}
-
-// Reserve pre-sizes the latency storage for a service expected to complete
-// about n requests, so bulk injection does not grow the sample slices
-// repeatedly. It never shrinks and is safe to call at any time.
-func (r *Recorder) Reserve(service string, n int) {
-	s := r.record(r.Intern(service))
-	if extra := n - (cap(s.latencies) - len(s.latencies)); extra > 0 {
-		grown := make([]time.Duration, len(s.latencies), cap(s.latencies)+extra)
-		copy(grown, s.latencies)
-		s.latencies = grown
-	}
 }
 
 // ServiceCounters returns one service's cumulative outcome counters and
@@ -262,62 +237,24 @@ func (s Summary) String() string {
 }
 
 // Summarize aggregates all services into one Summary. Percentiles are
-// nearest-rank over the union of every service's samples, selected from the
-// per-service sorted runs without materialising the union.
+// nearest-rank over the union of every service's samples: the services'
+// runs are gathered into one reused buffer and sorted once.
 func (r *Recorder) Summarize() Summary {
 	var sum Summary
 	var total time.Duration
-	samples := 0
+	union := r.unionBuf[:0]
 	for _, s := range r.order {
 		sum.Completed += s.Completed
 		sum.RemovalFailures += s.RemovalFailures
 		sum.ConnectionFailures += s.ConnectionFailures
-		if len(s.latencies) > 0 {
-			s.sortedLatencies(&r.mergeBuf)
-			samples += len(s.latencies)
-			total += s.totalLat
-		}
+		union = append(union, s.sortedRuns()...)
+		total += s.totalLat
 	}
+	sortRuns(union)
+	r.unionBuf = union
 	sum.Requests = sum.Completed + sum.RemovalFailures + sum.ConnectionFailures
-	if samples > 0 {
-		sum.MeanLatency = total / time.Duration(samples)
-		sum.P50Latency = r.rankValue(nearestRank(samples, 0.50))
-		sum.P95Latency = r.rankValue(nearestRank(samples, 0.95))
-		sum.P99Latency = r.rankValue(nearestRank(samples, 0.99))
-		sum.MaxLatency = r.rankValue(samples - 1)
-	}
+	sum.setLatencies(union, sum.Completed, total)
 	return sum
-}
-
-// rankValue returns the k-th smallest (0-based) latency across all services'
-// sorted runs: the smallest recorded value v with more than k samples ≤ v.
-// It binary-searches the value range, counting ≤ v in each run by binary
-// search, so it costs O(log range · services · log samples).
-func (r *Recorder) rankValue(k int) time.Duration {
-	lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
-	for _, s := range r.order {
-		if n := len(s.latencies); n > 0 {
-			lo = min(lo, s.latencies[0])
-			hi = max(hi, s.latencies[n-1])
-		}
-	}
-	for lo < hi {
-		// hi-lo may overflow int64 but is exact as uint64.
-		mid := lo + time.Duration(uint64(hi-lo)/2)
-		count := 0
-		for _, s := range r.order {
-			// Samples ≤ mid sit before the insertion point of mid+1, which
-			// cannot overflow: mid < hi.
-			n, _ := slices.BinarySearch(s.latencies, mid+1)
-			count += n
-		}
-		if count > k {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // SummarizeService aggregates a single service, returning a zero Summary for
@@ -332,24 +269,30 @@ func (r *Recorder) SummarizeService(name string) Summary {
 	sum.RemovalFailures = s.RemovalFailures
 	sum.ConnectionFailures = s.ConnectionFailures
 	sum.Requests = sum.Completed + sum.RemovalFailures + sum.ConnectionFailures
-	if len(s.latencies) > 0 {
-		lat := s.sortedLatencies(&r.mergeBuf)
-		sum.MeanLatency = s.totalLat / time.Duration(len(lat))
-		sum.P50Latency = percentile(lat, 0.50)
-		sum.P95Latency = percentile(lat, 0.95)
-		sum.P99Latency = percentile(lat, 0.99)
-		sum.MaxLatency = lat[len(lat)-1]
-	}
+	sum.setLatencies(s.sortedRuns(), s.Completed, s.totalLat)
 	return sum
 }
 
-// percentile returns the p-quantile (0..1) of a sorted slice using the
-// nearest-rank method.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+// setLatencies fills the mean and the nearest-rank percentiles from
+// ascending runs holding n samples that sum to total, walking the
+// cumulative counts once. It leaves them zero when n is zero.
+func (sum *Summary) setLatencies(runs []run, n uint64, total time.Duration) {
+	if n == 0 {
+		return
 	}
-	return sorted[nearestRank(len(sorted), p)]
+	sum.MeanLatency = total / time.Duration(n)
+	ranks := [...]int{nearestRank(int(n), 0.50), nearestRank(int(n), 0.95), nearestRank(int(n), 0.99)}
+	dst := [...]*time.Duration{&sum.P50Latency, &sum.P95Latency, &sum.P99Latency}
+	next := 0
+	var cum uint64
+	for _, r := range runs {
+		cum += r.n
+		for next < len(ranks) && cum > uint64(ranks[next]) {
+			*dst[next] = r.d
+			next++
+		}
+	}
+	sum.MaxLatency = runs[len(runs)-1].d
 }
 
 // nearestRank returns the 0-based index of the p-quantile (0..1) among n

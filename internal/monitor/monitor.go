@@ -219,8 +219,11 @@ type Monitor struct {
 	// per-service resolved replica caches.
 	topoGen uint64
 
+	// lastCheckpoint is the snapshot a Restart restores: nil, or
+	// checkpointBuf, which CheckpointNow refills in place.
 	lastCheckpoint   *checkpoint
 	lastCheckpointAt time.Duration
+	checkpointBuf    checkpoint
 
 	counts   ActionCounts
 	recovery RecoveryCounts

@@ -426,32 +426,56 @@ type checkpoint struct {
 // CheckpointNow snapshots the Monitor's decision state unconditionally.
 // Node reports are deep-copied: the live cache entries reuse their Containers
 // buffers every poll, and a checkpoint must not see those later overwrites.
+//
+// The snapshot refills the monitor-owned checkpoint buffer in place, so a
+// steady-state checkpoint allocates nothing. That is safe because restore
+// copies everything out of it; keys the live state no longer holds (nodes
+// detached, services moved away) are deleted so they cannot outlive it.
 func (m *Monitor) CheckpointNow(now time.Duration) {
-	cp := &checkpoint{
-		at:          now,
-		retries:     append([]pendingAction(nil), m.retries...),
-		lastReports: make(map[string]cachedReport, len(m.lastReports)),
-		nodeStates:  make(map[string]nodeState, len(m.nodeStates)),
-		lost:        append([]lostReplica(nil), m.lost...),
-		replicaIDs:  make(map[string][]string, len(m.services)),
-		replicaHome: make(map[string]string, len(m.replicaHome)),
+	cp := &m.checkpointBuf
+	if cp.lastReports == nil {
+		cp.lastReports = make(map[string]cachedReport, len(m.lastReports))
+		cp.nodeStates = make(map[string]nodeState, len(m.nodeStates))
+		cp.replicaIDs = make(map[string][]string, len(m.services))
+		cp.replicaHome = make(map[string]string, len(m.replicaHome))
 	}
+	cp.at = now
+	cp.retries = append(cp.retries[:0], m.retries...)
+	cp.lost = append(cp.lost[:0], m.lost...)
+
+	dropStale(cp.lastReports, m.lastReports)
 	for k, v := range m.lastReports {
 		frozen := cachedReport{rep: v.rep, at: v.at}
-		frozen.rep.Containers = append([]nodemanager.ContainerStats(nil), v.rep.Containers...)
+		frozen.rep.Containers = append(cp.lastReports[k].rep.Containers[:0], v.rep.Containers...)
 		cp.lastReports[k] = frozen
 	}
+	dropStale(cp.nodeStates, m.nodeStates)
 	for k, v := range m.nodeStates {
 		cp.nodeStates[k] = *v
 	}
-	for _, st := range m.services {
-		cp.replicaIDs[st.spec.Name] = append([]string(nil), st.replicaIDs...)
+	for name := range cp.replicaIDs {
+		if m.lookup(name) == nil {
+			delete(cp.replicaIDs, name)
+		}
 	}
+	for _, st := range m.services {
+		cp.replicaIDs[st.spec.Name] = append(cp.replicaIDs[st.spec.Name][:0], st.replicaIDs...)
+	}
+	dropStale(cp.replicaHome, m.replicaHome)
 	for k, v := range m.replicaHome {
 		cp.replicaHome[k] = v
 	}
 	m.lastCheckpoint = cp
 	m.lastCheckpointAt = now
+}
+
+// dropStale deletes every key of dst that live lacks.
+func dropStale[V, W any](dst map[string]V, live map[string]W) {
+	for k := range dst {
+		if _, ok := live[k]; !ok {
+			delete(dst, k)
+		}
+	}
 }
 
 // MaybeCheckpoint snapshots decision state when checkpointing is enabled

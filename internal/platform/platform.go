@@ -532,7 +532,6 @@ func (w *World) InjectRequests(at time.Duration, window time.Duration, service s
 	if window <= 0 {
 		window = w.cfg.Tick
 	}
-	w.recorder.Reserve(service, n)
 	reqs := make([]*workload.Request, n)
 	for i := range reqs {
 		arrive := at + time.Duration(float64(window)*float64(i)/float64(n))

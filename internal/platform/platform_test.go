@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"runtime"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -334,9 +336,10 @@ func TestRouteAllocFree(t *testing.T) {
 }
 
 // TestTickAllocFree pins one World.Run tick of a warm plain world to zero
-// allocations: arrivals reuse the requests earlier ticks released, and
-// routing, physics and completion recording append into storage that
-// earlier ticks (and Recorder.Reserve) sized.
+// allocations: arrivals reuse the requests earlier ticks released, routing
+// and physics append into storage that earlier ticks sized, and completion
+// recording counts into latency values the warm-up already saw — with no
+// pre-sizing.
 func TestTickAllocFree(t *testing.T) {
 	w, err := New(smallConfig(1), nil)
 	if err != nil {
@@ -348,7 +351,6 @@ func TestTickAllocFree(t *testing.T) {
 		if err := w.AddService(spec, 0.5, loadgen.Constant{RPS: 2000}); err != nil {
 			t.Fatal(err)
 		}
-		w.Recorder().Reserve(name, 1<<16)
 	}
 	if err := w.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -374,5 +376,45 @@ func TestAddServiceRejectsMisalignedRecorder(t *testing.T) {
 	w.Recorder().RecordFailure("stray", workload.FailureConnection)
 	if err := w.AddService(cpuSpec("a"), 0.5, nil); err == nil {
 		t.Error("AddService accepted a recorder whose IDs disagree with the control plane")
+	}
+}
+
+// TestLongHorizonHeapFlat checks that a plain world's live heap stops
+// growing with the horizon: after a warm-up, running on from 15 min to 2 h
+// (about 3.8M more completions) must move the live heap by under 2 MB. A
+// store that kept every completion's latency would grow by tens of MB.
+func TestLongHorizonHeapFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two simulated hours")
+	}
+	w, err := New(smallConfig(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		spec := cpuSpec(name)
+		spec.CPUPerRequest = 0.0005
+		if err := w.AddService(spec, 0.5, loadgen.Constant{RPS: 200}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveHeap := func(at time.Duration) uint64 {
+		t.Helper()
+		if err := w.Run(at); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	early := liveHeap(15 * time.Minute)
+	late := liveHeap(2 * time.Hour)
+	if completed := w.Summary().Completed; completed < 4_000_000 {
+		t.Fatalf("completed %d requests, want the full 2 h load", completed)
+	}
+	if growth := int64(late) - int64(early); max(growth, -growth) >= 2<<20 {
+		t.Errorf("live heap moved %.1f MB from 15 min to 2 h (%d → %d bytes), want < 2 MB",
+			float64(growth)/(1<<20), early, late)
 	}
 }

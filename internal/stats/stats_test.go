@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -212,4 +213,35 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 	if math.Abs(e.Value()-42) > 1e-6 {
 		t.Errorf("EWMA did not converge: %v", e.Value())
 	}
+}
+
+// TestObserveNMatchesRepeatedObserve checks that ObserveN(d, n) leaves a
+// histogram exactly as n calls to Observe(d) would — count, sum, max, the
+// under and over cells and every bucket — for values below, inside and
+// beyond the bucketed range, and that n = 0 changes nothing.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	values := []time.Duration{
+		0, 500 * time.Microsecond, // below the range
+		time.Millisecond, 37 * time.Millisecond, 2 * time.Second, // inside it
+		10 * time.Minute, 3 * time.Hour, // beyond it
+	}
+	batched, repeated := DefaultLatencyHistogram(), DefaultLatencyHistogram()
+	for i, d := range values {
+		n := uint64(1 + 3*i)
+		batched.ObserveN(d, n)
+		for range n {
+			repeated.Observe(d)
+		}
+		batched.ObserveN(24*time.Hour, 0)
+		if !sameHistogram(batched, repeated) {
+			t.Fatalf("after %v×%d: ObserveN histogram %+v, want %+v", d, n, batched, repeated)
+		}
+	}
+}
+
+func sameHistogram(a, b *Histogram) bool {
+	if a.total != b.total || a.sum != b.sum || a.max != b.max || a.under != b.under || a.over != b.over {
+		return false
+	}
+	return slices.Equal(a.counts, b.counts)
 }
